@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import block_samples, reverse_graph, walk_sum
-from .scenario import Box, ScenarioConfig, generate_realization
+from .scenario import Box, ScenarioConfig, edge_gain, generate_realization
 from .synthesis import (
     DelayPowerSpectrum,
     FrequencyGrid,
@@ -615,12 +616,16 @@ def _validation_checks(spec: ExperimentSpec):
     def generation():
         state["realization"] = generate_realization(scenario, probe_grid)
 
-    def structure():
-        graph = state["realization"].graph
-        for edge in graph.edges:
-            assert edge.src != edge.dst, "self-loop survived construction"
-        n_direct = len(graph.edges_in_class("direct"))
-        assert n_direct <= graph.n_tx * graph.n_rx, "direct class overfull"
+    def gain_laws():
+        realization = state["realization"]
+        graph = realization.graph
+        for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):
+            for edge in graph.edges:
+                baked = float(edge.gain.amplitude(f, edge.delay_s))
+                law = edge_gain(edge, f, graph, realization.resolved_g)
+                assert math.isclose(baked, law, rel_tol=1e-12), (
+                    f"{edge.src}->{edge.dst} carries {baked!r}, its law gives {law!r} at {f:g} Hz"
+                )
 
     def block_shape():
         graph = state["realization"].graph
@@ -682,7 +687,7 @@ def _validation_checks(spec: ExperimentSpec):
 
     return [
         ("realization generated within the rejection budget", generation),
-        ("graph structure is a legal propagation graph", structure),
+        ("every edge carries the gain its class law gives", gain_laws),
         ("transfer blocks keep transmitter rows and receiver columns empty", block_shape),
         ("scatterer loop contracts on every configured grid", contraction),
         ("head plus tail reproduces the full transfer matrix", resolvent_split),

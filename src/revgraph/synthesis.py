@@ -36,6 +36,7 @@ from .transfer import (
     SingularSystem,
     SpectralRadiusExceeded,
     TransferSample,
+    bounce_slices,
 )
 from .transfer import logger as _transfer_logger
 
@@ -240,42 +241,13 @@ def _solve_feed(samples: BlockSamples) -> np.ndarray:
         raise SingularSystem(f"(I - loop) solve failed: {exc}") from exc
 
 
-def _loop_power(samples: BlockSamples, power: int, cache: dict) -> np.ndarray:
-    if power not in cache:
-        cache[power] = np.linalg.matrix_power(samples.loop, power)
-    return cache[power]
-
-
-def _slice_tensor(
-    samples: BlockSamples,
-    zt: np.ndarray,
-    bounce_range: BounceRange,
-    cache: dict,
-) -> np.ndarray:
-    """Bounce-order slice of the sampled response from shared solves."""
-    n_sc = samples.loop.shape[1]
-    if n_sc == 0:
-        if bounce_range.first == 0:
-            return samples.direct.copy()
-        return np.zeros_like(samples.direct)
-    lead_power = max(bounce_range.first, 1) - 1
-    lead = _loop_power(samples, lead_power, cache) @ zt if lead_power else zt
-    if not bounce_range.unbounded:
-        lead = lead - _loop_power(samples, int(bounce_range.last), cache) @ zt
-    tensor = samples.collect @ lead
-    if bounce_range.first == 0:
-        tensor = samples.direct + tensor
-    return tensor
-
-
 def _sampled_slices(
     graph: PropagationGraph, grid: FrequencyGrid, bounce_ranges
 ) -> list[np.ndarray]:
     samples = block_samples(graph, grid.frequencies())
     _verify_contraction(samples)
     zt = _solve_feed(samples)
-    cache: dict = {}
-    return [_slice_tensor(samples, zt, r, cache) for r in bounce_ranges]
+    return bounce_slices(samples.direct, samples.loop, samples.collect, zt, bounce_ranges)
 
 
 def sample_transfer(
@@ -296,7 +268,12 @@ def sample_transfer(
 def sample_transfer_slices(
     graph: PropagationGraph, grid: FrequencyGrid, bounce_ranges
 ) -> tuple[ResponseSamples, ...]:
-    """Sample several bounce-order slices while sharing the frequency solves."""
+    """Sample several bounce-order slices while sharing the frequency solves.
+
+    The loop products loop^j @ Z are shared as well: they are formed once,
+    one matrix-vector step per bounce order, up to the largest order any
+    requested range needs.
+    """
     bounce_ranges = tuple(bounce_ranges)
     tensors = _sampled_slices(graph, grid, bounce_ranges)
     return tuple(
@@ -542,8 +519,9 @@ def spatial_spectrum(
 
     Each placement refreshes only the receiver-side edges (delays and gain
     laws of direct and scatterer-to-receiver edges); the scatterer-side
-    blocks and the per-frequency solves are computed once and shared.  The
-    invariance of the feed and loop blocks across moves is asserted.
+    blocks and the per-frequency solves are computed once and shared.  A move
+    that alters the scatterer-side edges or the feed and loop blocks raises
+    :class:`RuntimeError`.
     """
     graph = realization.graph if isinstance(realization, ScenarioRealization) else realization
     positions = [tuple(float(c) for c in p) for p in rx_positions]
@@ -564,14 +542,16 @@ def spatial_spectrum(
         moved_scatter_side = tuple(
             e for e in moved.edges if e.dst.kind is not VertexKind.RX
         )
-        assert all(a is b for a, b in zip(scatter_side, moved_scatter_side)) and len(
-            scatter_side
-        ) == len(moved_scatter_side), "receiver move altered scatterer-side edges"
+        if len(scatter_side) != len(moved_scatter_side) or not all(
+            a is b for a, b in zip(scatter_side, moved_scatter_side)
+        ):
+            raise RuntimeError("receiver move altered scatterer-side edges")
         if k == 0:
             check = block_samples(moved, freqs)
-            assert np.array_equal(check.loop, base.loop) and np.array_equal(
+            if not np.array_equal(check.loop, base.loop) or not np.array_equal(
                 check.feed, base.feed
-            ), "receiver move altered the loop or feed block"
+            ):
+                raise RuntimeError("receiver move altered the loop or feed block")
         direct, collect = _receiver_blocks(moved, freqs)
         values = direct[:, rx_index, tx_index] + np.sum(
             collect[:, rx_index, :] * zt[:, :, tx_index], axis=1
@@ -697,7 +677,7 @@ def write_sidecar(
     config_doc: dict,
     extra: dict | None = None,
 ) -> None:
-    """JSON sidecar recording grid, window, seeds, and the config digest."""
+    """JSON sidecar recording grid, window, seeds, the config and its digest."""
     doc = {
         "grid": {
             "f_min_hz": grid.f_min_hz,
@@ -706,6 +686,7 @@ def write_sidecar(
         },
         "window": window_label,
         "seeds": list(seeds),
+        "config": config_doc,
         "config_sha1": config_digest(config_doc),
     }
     if extra:

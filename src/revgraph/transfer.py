@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import AdjacencyBlocks, PropagationGraph, adjacency_blocks
+from .graph import PropagationGraph, adjacency_blocks
 
 __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
@@ -29,6 +29,7 @@ __all__ = [
     "BounceRange",
     "TransferSample",
     "PrecomputedKernel",
+    "bounce_slices",
     "spectral_radius",
     "make_kernel",
     "transfer_matrix",
@@ -200,26 +201,33 @@ def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
     )
 
 
-def _assemble_partial(
-    blocks: AdjacencyBlocks,
-    kernel: PrecomputedKernel,
-    bounce_range: BounceRange,
-) -> np.ndarray:
-    """Closed-form bounce-order slice from precomputed blocks and kernel.
+def _loop_steps(loop: np.ndarray, start: np.ndarray, steps: int) -> list[np.ndarray]:
+    """[start, loop @ start, ..., loop^steps @ start] by repeated matrix-vector steps."""
+    out = [start]
+    for _ in range(steps):
+        out.append(loop @ out[-1])
+    return out
 
-    With Z = (I - loop)^-1 feed, the indirect part of the slice K:L is
-    collect @ (loop^(max(K,1)-1) - loop^L) @ Z, dropping the loop^L term
-    for unbounded L and adding the direct block when K = 0.
+
+def bounce_slices(direct, loop, collect, zt, bounce_ranges) -> list[np.ndarray]:
+    """Closed-form bounce-order slices from one solved feed Z = (I - loop)^-1 feed.
+
+    Blocks may carry leading axes (one frequency or a stack of them).  With
+    W_j = loop^j @ Z, the slice K:L is collect @ (W_(max(K,1)-1) - W_L),
+    dropping W_L for unbounded L and adding the direct block when K = 0.
+    The W_j are formed once, up to the largest power any range needs, and
+    shared by all ranges.
     """
-    zt = kernel.solve(blocks.feed)
-    lead_power = max(bounce_range.first, 1) - 1
-    lead = np.linalg.matrix_power(blocks.loop, lead_power) @ zt if lead_power else zt
-    if not bounce_range.unbounded:
-        lead = lead - np.linalg.matrix_power(blocks.loop, int(bounce_range.last)) @ zt
-    matrix = blocks.collect @ lead
-    if bounce_range.first == 0:
-        matrix = blocks.direct + matrix
-    return matrix
+    bounce_ranges = tuple(bounce_ranges)
+    leads = [max(r.first, 1) - 1 for r in bounce_ranges]
+    top = max(leads + [int(r.last) for r in bounce_ranges if not r.unbounded], default=0)
+    powers = _loop_steps(loop, zt, top)
+    slices = []
+    for r, lead in zip(bounce_ranges, leads):
+        w = powers[lead] if r.unbounded else powers[lead] - powers[int(r.last)]
+        matrix = collect @ w
+        slices.append(direct + matrix if r.first == 0 else matrix)
+    return slices
 
 
 def transfer_matrix(graph: PropagationGraph, freq_hz: float) -> TransferSample:
@@ -235,7 +243,7 @@ def k_bounce_matrix(graph: PropagationGraph, freq_hz: float, k: int) -> Transfer
     if k == 0:
         matrix = blocks.direct.copy()
     else:
-        matrix = blocks.collect @ np.linalg.matrix_power(blocks.loop, k - 1) @ blocks.feed
+        matrix = blocks.collect @ _loop_steps(blocks.loop, blocks.feed, k - 1)[-1]
     return TransferSample(float(freq_hz), matrix, BounceRange.exactly(k))
 
 
@@ -245,7 +253,9 @@ def partial_transfer_matrix(
     """Transfer matrix restricted to bounce orders in ``bounce_range``."""
     blocks = adjacency_blocks(graph, freq_hz)
     kernel = PrecomputedKernel.from_loop_block(blocks.loop, freq_hz)
-    matrix = _assemble_partial(blocks, kernel, bounce_range)
+    (matrix,) = bounce_slices(
+        blocks.direct, blocks.loop, blocks.collect, kernel.solve(blocks.feed), (bounce_range,)
+    )
     return TransferSample(float(freq_hz), matrix, bounce_range)
 
 

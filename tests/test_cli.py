@@ -7,6 +7,7 @@ the determinism claim, compared byte for byte across reruns.
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from revgraph.cli import (
     _KNOWN_FIELDS,
     _dissection_ranges,
 )
+from revgraph.graph import ConstantGain, EdgeClass
 from revgraph.scenario import ScenarioConfig
 from revgraph.synthesis import FrequencyGrid
 
@@ -177,6 +179,19 @@ def test_response_mode_writes_parseable_sweep(tmp_path):
     assert (out / "plots.txt").exists()
 
 
+def test_sidecar_config_reloads_as_the_run_spec(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"n_scatterers": 4, "kmax": 2})
+    out = tmp_path / "r"
+    assert main(["response", "--config", str(cfg), "--out", str(out),
+                 "--grid", "2e9,3e9,16", "--seed", "9"]) == 0
+    meta = json.loads((out / "response_2to3GHz_M16.meta.json").read_text())
+    reloaded = load_config(_write(tmp_path, "again.json", meta["config"]))
+    expected = replace(load_config(cfg), mode=Mode.RESPONSE, out_dir=out,
+                       grids=(FrequencyGrid(2e9, 3e9, 16),),
+                       scenario=ScenarioConfig(n_scatterers=4, seed=9))
+    assert reloaded == expected
+
+
 def test_response_mode_sweeps_every_grid(tmp_path):
     cfg = _write(tmp_path, "c.json", {"grids": [[2e9, 3e9, 16], [1e9, 11e9, 32]]})
     out = tmp_path / "r"
@@ -253,6 +268,28 @@ def test_validate_mode_passes_on_defaults(tmp_path, capsys):
     assert status == 0
     assert "9/9 checks passed" in captured.out
     assert "FAIL" not in captured.out
+
+
+def test_validate_catches_an_edge_off_its_gain_law(monkeypatch, tmp_path, capsys):
+    import revgraph.cli as cli
+
+    honest = cli.generate_realization
+
+    def tampered(config, band):
+        realization = honest(config, band)
+        graph = realization.graph
+        feed = graph.edges_in_class(EdgeClass.TX_SCATTER)[0]
+        bumped = ConstantGain(1.5 * float(feed.gain.amplitude(band.f_min_hz, feed.delay_s)))
+        edges = tuple(replace(e, gain=bumped) if e is feed else e for e in graph.edges)
+        return replace(realization, graph=replace(graph, edges=edges))
+
+    monkeypatch.setattr(cli, "generate_realization", tampered)
+    cfg = _write(tmp_path, "c.json", {})
+    status = main(["validate", "--config", str(cfg), "--grid", "2e9,3e9,32"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "FAIL every edge carries the gain its class law gives" in out
+    assert "8/9 checks passed" in out
 
 
 def test_validate_mode_handles_empty_scatterer_field(tmp_path):

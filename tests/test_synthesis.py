@@ -11,8 +11,9 @@ Also covered:
 - unit-power window normalization, the two-sample fallback, and the
   measured concentration of the raised-cosine main lobe
 - sampled transfers against the per-frequency engine, bounce-slice
-  additivity, and per-sample contraction rejection with the offending
-  sample index attached
+  additivity, every dissection range against the per-frequency engine and
+  the walk enumeration, and per-sample contraction rejection with the
+  offending sample index attached
 - ensemble and spatial averaging, including worker-pool parity
 - tail-slope fitting on synthetic spectra
 - CSV and sidecar emission
@@ -33,7 +34,9 @@ from revgraph.graph import (
     rx,
     scatterer,
     tx,
+    walk_sum,
 )
+from revgraph.cli import _dissection_ranges
 from revgraph.scenario import ScenarioConfig, generate_realization
 from revgraph.transfer import BounceRange, partial_transfer_matrix
 from revgraph.synthesis import (
@@ -245,6 +248,51 @@ def test_bounce_slices_share_solves_and_add_up():
     np.testing.assert_allclose(mid.tensor[9], single.matrix, rtol=1e-11, atol=1e-16)
 
 
+def test_every_dissection_range_matches_the_per_frequency_engine():
+    # shuffled, with one range asked for twice: each slice must still land
+    # on its own range
+    realization = _small_realization(seed=7)
+    grid = FrequencyGrid(2e9, 3e9, 24)
+    ranges = _dissection_ranges(4)
+    assert len(ranges) == 20
+    order = np.random.default_rng(3).permutation(len(ranges))
+    requested = [ranges[i] for i in order] + [ranges[order[0]]]
+    slices = sample_transfer_slices(realization.graph, grid, requested)
+    assert [s.bounce_range for s in slices] == requested
+    np.testing.assert_array_equal(slices[-1].tensor, slices[0].tensor)
+    for piece in slices:
+        for m in (0, 11, 23):
+            single = partial_transfer_matrix(realization.graph, grid.frequencies()[m],
+                                             piece.bounce_range)
+            np.testing.assert_allclose(piece.tensor[m], single.matrix,
+                                       rtol=1e-11, atol=1e-16)
+
+
+def test_bounded_slices_match_the_walk_enumeration():
+    edges = [
+        _flat_edge(tx(0), rx(0), 0.3, 5e-9),
+        _flat_edge(tx(0), scatterer(0), 0.5, 2e-9),
+        _flat_edge(tx(0), scatterer(2), 0.4, 3e-9),
+        _flat_edge(scatterer(1), rx(0), 0.6, 4e-9),
+        _flat_edge(scatterer(2), rx(0), 0.3, 2.5e-9),
+    ]
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                edges.append(_flat_edge(scatterer(i), scatterer(j), 0.3,
+                                        (1 + i + 2 * j) * 1e-9, phase=0.4 * i + j))
+    graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=3, edges=tuple(edges))
+    grid = FrequencyGrid(2e9, 3e9, 8)
+    ranges = [r for r in _dissection_ranges(4) if not r.unbounded]
+    slices = sample_transfer_slices(graph, grid, ranges)
+    scale = np.abs(sample_transfer(graph, grid).tensor).max()
+    for piece in slices:
+        for m in (0, 5):
+            brute = walk_sum(graph, grid.frequencies()[m], piece.bounce_range.first,
+                             int(piece.bounce_range.last))
+            assert np.abs(piece.tensor[m] - brute).max() <= 1e-12 * scale
+
+
 def test_contraction_failure_reports_first_offending_sample():
     edges = (
         _flat_edge(tx(0), rx(0), 0.3, 5e-9),
@@ -278,8 +326,14 @@ def test_scattererless_graph_samples_to_direct_values():
     graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=0, edges=(edge,))
     grid = FrequencyGrid(2e9, 3e9, 8)
     samples = sample_transfer(graph, grid)
-    np.testing.assert_allclose(samples.pair(), edge.transfer_value(grid.frequencies()),
-                               rtol=1e-13)
+    direct = edge.transfer_value(grid.frequencies())
+    np.testing.assert_allclose(samples.pair(), direct, rtol=1e-13)
+    # with no scatterers, slices from order 0 are the direct block, the rest zero
+    for piece in sample_transfer_slices(graph, grid, _dissection_ranges(3)):
+        if piece.bounce_range.first == 0:
+            np.testing.assert_array_equal(piece.pair(), direct)
+        else:
+            assert not piece.tensor.any()
 
 
 def test_response_samples_validate_tensor_shape():
@@ -332,9 +386,12 @@ def test_worker_pool_matches_serial_average():
     np.testing.assert_array_equal(parallel.power, serial.power)
 
 
-def test_ensemble_error_names_the_failing_run(monkeypatch):
+@pytest.mark.parametrize("workers", [None, 2])
+def test_ensemble_error_names_the_failing_run(monkeypatch, workers):
     # a run that blows up should surface with its index and seed attached,
-    # via exception notes where supported or in the wrapped message
+    # via exception notes where supported or in the wrapped message.  The
+    # patch reaches pool workers because they are forked from this process
+    # (the default start method on Linux before Python 3.14).
     import revgraph.synthesis as synthesis
 
     def explode_on_second(config, band):
@@ -346,11 +403,11 @@ def test_ensemble_error_names_the_failing_run(monkeypatch):
     config = ScenarioConfig(seed=70, n_scatterers=4)
     grid = FrequencyGrid(2e9, 3e9, 8)
     window = hann_window(grid)
-    with pytest.raises(RuntimeError) as info:
-        ensemble_spectrum(config, grid, 3, window)
+    with pytest.raises(RuntimeError, match="synthetic failure") as info:
+        ensemble_spectrum(config, grid, 3, window, workers=workers)
     notes = getattr(info.value, "__notes__", [])
     combined = " ".join([str(info.value)] + list(notes))
-    assert "71" in combined or "run 1" in combined
+    assert "while simulating run 1 (seed 71)" in combined
 
 
 def test_spatial_average_over_one_position_matches_single_run():
@@ -382,6 +439,31 @@ def test_spatial_average_equals_naive_per_position_mean():
         naive.append(y.power())
     np.testing.assert_allclose(fast.power, np.mean(naive, axis=0),
                                rtol=1e-9, atol=1e-30)
+
+
+def test_spatial_rejects_a_move_that_alters_the_feed(monkeypatch):
+    import dataclasses
+
+    import revgraph.synthesis as synthesis
+    from revgraph.graph import EdgeClass
+
+    realization = _small_realization(seed=82)
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    honest = synthesis.relocate_receiver
+
+    def perturb_feed(graph, rx_index, position):
+        moved = honest(graph, rx_index, position)
+        feed = moved.edges_in_class(EdgeClass.TX_SCATTER)[0]
+        edges = tuple(
+            dataclasses.replace(e, delay_s=1.01 * e.delay_s) if e is feed else e
+            for e in moved.edges
+        )
+        return dataclasses.replace(moved, edges=edges)
+
+    monkeypatch.setattr(synthesis, "relocate_receiver", perturb_feed)
+    position = tuple(realization.graph.position(rx(0)))
+    with pytest.raises(RuntimeError, match="receiver move altered"):
+        spatial_spectrum(realization, [position], grid, hann_window(grid))
 
 
 def test_pairwise_mean_matches_numpy_mean():
@@ -506,6 +588,7 @@ def test_sidecar_records_grid_seeds_and_digest(tmp_path):
     assert doc["grid"] == {"f_min_hz": 2e9, "f_max_hz": 3e9, "n_samples": 64}
     assert doc["seeds"] == [7, 8, 9]
     assert doc["window"] == "hann-unit-power"
+    assert doc["config"] == config_doc
     assert doc["config_sha1"] == config_digest(config_doc)
     assert doc["note"] == "test"
     assert config_digest({"runs": 3, "seed": 7}) == doc["config_sha1"]  # key order free
