@@ -39,7 +39,6 @@ from .synthesis import (
     FrequencyGrid,
     InsufficientBins,
     NonpositivePower,
-    _verify_contraction,
     config_digest,
     ensemble_spectrum,
     fit_tail_slope,
@@ -53,7 +52,7 @@ from .synthesis import (
     write_sidecar,
     write_spectrum_csv,
 )
-from .transfer import BounceRange, partial_transfer_matrix, transfer_matrix
+from .transfer import BounceRange, partial_transfer_matrix, transfer_matrix, verify_contraction
 
 __all__ = [
     "ParseError",
@@ -603,6 +602,12 @@ def _run_spatial(spec: ExperimentSpec) -> int:
 # -- Validation mode -------------------------------------------------------------------
 
 
+def _expect(condition, message: str) -> None:
+    """Fail a validation check; unlike ``assert``, this survives ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _validation_checks(spec: ExperimentSpec):
     """Yield (name, callable) pairs; each callable raises on failure."""
     scenario = spec.scenario
@@ -623,9 +628,8 @@ def _validation_checks(spec: ExperimentSpec):
             for edge in graph.edges:
                 baked = float(edge.gain.amplitude(f, edge.delay_s))
                 law = edge_gain(edge, f, graph, realization.resolved_g)
-                assert math.isclose(baked, law, rel_tol=1e-12), (
-                    f"{edge.src}->{edge.dst} carries {baked!r}, its law gives {law!r} at {f:g} Hz"
-                )
+                _expect(math.isclose(baked, law, rel_tol=1e-12),
+                        f"{edge.src}->{edge.dst} carries {baked!r}, its law gives {law!r} at {f:g} Hz")
 
     def block_shape():
         graph = state["realization"].graph
@@ -633,13 +637,14 @@ def _validation_checks(spec: ExperimentSpec):
         samples = block_samples(graph, freqs)
         full = samples.at(0).full_matrix()
         n_tx = graph.n_tx
-        assert not full[:n_tx, :].any(), "rows into transmitters must vanish"
-        assert not full[:, n_tx : n_tx + graph.n_rx].any(), "columns out of receivers must vanish"
+        _expect(not full[:n_tx, :].any(), "rows into transmitters must vanish")
+        _expect(not full[:, n_tx : n_tx + graph.n_rx].any(), "columns out of receivers must vanish")
 
     def contraction():
         graph = state["realization"].graph
         for grid in spec.grids:
-            _verify_contraction(block_samples(graph, grid.frequencies()))
+            freqs = grid.frequencies()
+            verify_contraction(block_samples(graph, freqs).loop, freqs)
 
     def resolvent_split():
         graph = state["realization"].graph
@@ -650,7 +655,7 @@ def _validation_checks(spec: ExperimentSpec):
                 head = partial_transfer_matrix(graph, f, BounceRange(0, k)).matrix
                 tail = partial_transfer_matrix(graph, f, BounceRange.tail(k + 1)).matrix
                 gap = np.abs(head + tail - whole).max()
-                assert gap <= 1e-11 * scale, f"resolvent split off by {gap:g} at K={k}"
+                _expect(gap <= 1e-11 * scale, f"resolvent split off by {gap:g} at K={k}")
 
     def walk_oracle():
         graph = state["realization"].graph
@@ -658,7 +663,7 @@ def _validation_checks(spec: ExperimentSpec):
             closed = partial_transfer_matrix(graph, f, BounceRange(0, 4)).matrix
             brute = walk_sum(graph, f, 0, 4)
             scale = max(np.abs(brute).max(), 1e-30)
-            assert np.abs(closed - brute).max() <= 1e-9 * scale, "walk-sum mismatch"
+            _expect(np.abs(closed - brute).max() <= 1e-9 * scale, "walk-sum mismatch")
 
     def reciprocity():
         graph = state["realization"].graph
@@ -666,13 +671,13 @@ def _validation_checks(spec: ExperimentSpec):
         for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):
             forward = transfer_matrix(graph, f).matrix
             backward = transfer_matrix(mirrored, f).matrix
-            assert np.abs(backward - forward.T).max() <= 1e-12, "reciprocity violated"
+            _expect(np.abs(backward - forward.T).max() <= 1e-12, "reciprocity violated")
 
     def window_power():
         for grid in spec.grids:
             window = hann_window(grid)
             power = np.sum(np.abs(window.samples) ** 2) * grid.delta_f
-            assert abs(power - 1.0) <= 1e-12, f"window power {power!r}"
+            _expect(abs(power - 1.0) <= 1e-12, f"window power {power!r}")
 
     def additivity():
         graph = state["realization"].graph
@@ -683,7 +688,7 @@ def _validation_checks(spec: ExperimentSpec):
         for piece in sample_transfer_slices(graph, probe_grid, ranges):
             total = total + impulse_response(piece, window).samples
         scale = max(np.abs(full.samples).max(), 1e-30)
-        assert np.abs(total - full.samples).max() <= 1e-9 * scale, "bounce slices do not add up"
+        _expect(np.abs(total - full.samples).max() <= 1e-9 * scale, "bounce slices do not add up")
 
     return [
         ("realization generated within the rejection budget", generation),

@@ -42,7 +42,7 @@ from .graph import (
     scatterer,
     tx,
 )
-from .transfer import SPECTRAL_RADIUS_LIMIT
+from .transfer import SpectralRadiusExceeded, verify_contraction
 
 if TYPE_CHECKING:
     from .synthesis import FrequencyGrid
@@ -410,27 +410,12 @@ def _build_edges(
 
 
 def _loop_is_contractive(graph: PropagationGraph, freqs: np.ndarray) -> bool:
-    """Check the spectral radius of the scatterer loop block on ``freqs``.
-
-    An induced-norm certificate decides most cases without eigenvalues:
-    generated loop gains are flat in frequency, so if the smaller of the
-    max column sum and max row sum of |loop| stays below the limit, the
-    spectral radius does everywhere.  Only otherwise are eigenvalues
-    computed per frequency.
-    """
-    if graph.n_scatterers == 0:
-        return True
-    samples = block_samples(graph, freqs)
-    magnitude = np.abs(samples.loop[0])
-    bound = min(magnitude.sum(axis=0).max(initial=0.0), magnitude.sum(axis=1).max(initial=0.0))
-    flat = all(
-        not e.gain.frequency_dependent
-        for e in graph.edges_in_class(EdgeClass.INTER_SCATTER)
-    )
-    if flat and bound <= SPECTRAL_RADIUS_LIMIT:
-        return True
-    radii = np.max(np.abs(np.linalg.eigvals(samples.loop)), axis=1)
-    return bool(np.all(radii <= SPECTRAL_RADIUS_LIMIT))
+    """Whether the scatterer loop block contracts at every frequency in ``freqs``."""
+    try:
+        verify_contraction(block_samples(graph, freqs).loop, freqs)
+    except SpectralRadiusExceeded:
+        return False
+    return True
 
 
 def _band_edges(frequency_band) -> tuple[float, float]:

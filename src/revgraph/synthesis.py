@@ -27,18 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import BlockSamples, EdgeClass, PropagationGraph, VertexKind, block_samples
+from .graph import PropagationGraph, VertexKind, block_samples
 from .scenario import ScenarioConfig, ScenarioRealization, generate_realization, relocate_receiver
 from .transfer import (
-    CONDITION_WARN_THRESHOLD,
-    SPECTRAL_RADIUS_LIMIT,
     BounceRange,
-    SingularSystem,
-    SpectralRadiusExceeded,
+    PrecomputedKernel,
+    SpectralRadiusExceededAt,
     TransferSample,
     bounce_slices,
 )
-from .transfer import logger as _transfer_logger
 
 __all__ = [
     "SpectralRadiusExceededAt",
@@ -65,19 +62,6 @@ __all__ = [
     "write_spectrum_csv",
     "write_sidecar",
 ]
-
-
-class SpectralRadiusExceededAt(SpectralRadiusExceeded):
-    """The scatterer loop fails to contract at a specific grid sample."""
-
-    def __init__(self, sample_index: int, value: float, frequency_hz: float):
-        self.sample_index = int(sample_index)
-        self.frequency_hz = float(frequency_hz)
-        super().__init__(
-            value,
-            f"spectral radius {value:.6g} at sample {sample_index} "
-            f"(f = {frequency_hz:g} Hz) exceeds {SPECTRAL_RADIUS_LIMIT}",
-        )
 
 
 class LengthMismatch(ValueError):
@@ -194,59 +178,11 @@ class ResponseSamples:
         return self.tensor[:, rx_index, tx_index]
 
 
-def _verify_contraction(samples: BlockSamples) -> None:
-    """Raise unless the loop block contracts at every sampled frequency.
-
-    Cheap induced-norm bounds (max column/row sums of |loop|) certify most
-    samples; eigenvalues decide only where the bound fails.  Condition
-    numbers are estimated for those undecided samples and logged past
-    :data:`CONDITION_WARN_THRESHOLD`.
-    """
-    loop = samples.loop
-    if loop.shape[1] == 0:
-        return
-    magnitude = np.abs(loop)
-    col_bound = magnitude.sum(axis=1).max(axis=1)
-    row_bound = magnitude.sum(axis=2).max(axis=1)
-    bound = np.minimum(col_bound, row_bound)
-    suspects = np.nonzero(bound > SPECTRAL_RADIUS_LIMIT)[0]
-    if suspects.size == 0:
-        return
-    radii = np.max(np.abs(np.linalg.eigvals(loop[suspects])), axis=1)
-    bad = np.nonzero(radii > SPECTRAL_RADIUS_LIMIT)[0]
-    if bad.size:
-        worst = int(suspects[bad[0]])
-        raise SpectralRadiusExceededAt(
-            worst, float(radii[bad[0]]), float(samples.freqs[worst])
-        )
-    eye = np.eye(loop.shape[1])
-    for m in suspects:
-        cond = np.linalg.cond(eye - loop[m], 1)
-        if cond > CONDITION_WARN_THRESHOLD:
-            _transfer_logger.warning(
-                "ill-conditioned (I - loop) solve at f=%g Hz: condition estimate %.3g",
-                samples.freqs[m], cond,
-            )
-
-
-def _solve_feed(samples: BlockSamples) -> np.ndarray:
-    """Batched solve of (I - loop) z = feed across all frequency samples."""
-    n_sc = samples.loop.shape[1]
-    if n_sc == 0:
-        return samples.feed.copy()
-    system = np.eye(n_sc) - samples.loop
-    try:
-        return np.linalg.solve(system, samples.feed)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"(I - loop) solve failed: {exc}") from exc
-
-
 def _sampled_slices(
     graph: PropagationGraph, grid: FrequencyGrid, bounce_ranges
 ) -> list[np.ndarray]:
     samples = block_samples(graph, grid.frequencies())
-    _verify_contraction(samples)
-    zt = _solve_feed(samples)
+    zt = PrecomputedKernel.from_loop_block(samples.loop, samples.freqs).solve(samples.feed)
     return bounce_slices(samples.direct, samples.loop, samples.collect, zt, bounce_ranges)
 
 
@@ -257,9 +193,8 @@ def sample_transfer(
 ) -> ResponseSamples:
     """Sample the (partial) transfer matrix at every grid frequency.
 
-    The linear system behind the resolvent is factored once per frequency
-    and shared by all transmitter/receiver pairs; the loop block's
-    contraction is re-verified sample by sample.
+    One batched solve against (I - loop) serves all transmitter/receiver
+    pairs; the loop block's contraction is re-verified sample by sample.
     """
     (tensor,) = _sampled_slices(graph, grid, (bounce_range,))
     return ResponseSamples(grid=grid, bounce_range=bounce_range, tensor=tensor)
@@ -531,8 +466,7 @@ def spatial_spectrum(
         raise LengthMismatch("window grid differs from the sampling grid")
     freqs = grid.frequencies()
     base = block_samples(graph, freqs)
-    _verify_contraction(base)
-    zt = _solve_feed(base)
+    zt = PrecomputedKernel.from_loop_block(base.loop, freqs).solve(base.feed)
     scatter_side = tuple(
         e for e in graph.edges if e.dst.kind is not VertexKind.RX
     )
@@ -553,10 +487,8 @@ def spatial_spectrum(
             ):
                 raise RuntimeError("receiver move altered the loop or feed block")
         direct, collect = _receiver_blocks(moved, freqs)
-        values = direct[:, rx_index, tx_index] + np.sum(
-            collect[:, rx_index, :] * zt[:, :, tx_index], axis=1
-        )
-        y = _idft(values * window.samples, grid)
+        (tensor,) = bounce_slices(direct, base.loop, collect, zt, (BounceRange.full(),))
+        y = _idft(tensor[:, rx_index, tx_index] * window.samples, grid)
         powers.append(np.abs(y) ** 2)
     return DelayPowerSpectrum(
         power=_pairwise_mean(powers),

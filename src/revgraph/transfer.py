@@ -4,9 +4,11 @@ The recirculating scatterer field turns the channel into a Neumann series
 over bounce orders; as long as the spectral radius of the scatterer loop
 block stays below one, the full series and any bounce-order slice of it
 collapse to closed forms built around solves against (I - loop).  This
-module provides those closed forms plus a reusable factorization kernel so
-that sweeps over transmitter/receiver placements or input signals pay for
-one factorization per frequency.
+module is the one home of that engine: :func:`verify_contraction` checks
+the precondition, :class:`PrecomputedKernel` solves against (I - loop),
+and :func:`bounce_slices` forms the slices.  Each takes one frequency or a
+stack of them, so the batched sampling in ``synthesis`` and the
+single-frequency functions below run the same code.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import PropagationGraph, adjacency_blocks
 
@@ -24,6 +25,7 @@ __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
     "CONDITION_WARN_THRESHOLD",
     "SpectralRadiusExceeded",
+    "SpectralRadiusExceededAt",
     "SingularSystem",
     "NumericalFailure",
     "BounceRange",
@@ -31,6 +33,7 @@ __all__ = [
     "PrecomputedKernel",
     "bounce_slices",
     "spectral_radius",
+    "verify_contraction",
     "make_kernel",
     "transfer_matrix",
     "k_bounce_matrix",
@@ -58,25 +61,80 @@ class SpectralRadiusExceeded(ValueError):
         super().__init__(message or f"spectral radius {self.value:.6g} exceeds {SPECTRAL_RADIUS_LIMIT}")
 
 
+class SpectralRadiusExceededAt(SpectralRadiusExceeded):
+    """The scatterer loop fails to contract at a specific sample."""
+
+    def __init__(self, sample_index: int, value: float, frequency_hz: float):
+        self.sample_index = int(sample_index)
+        self.frequency_hz = float(frequency_hz)
+        super().__init__(
+            value,
+            f"spectral radius {value:.6g} at sample {sample_index} "
+            f"(f = {frequency_hz:g} Hz) exceeds {SPECTRAL_RADIUS_LIMIT}",
+        )
+
+
 class SingularSystem(ArithmeticError):
-    """Factorization of (I - loop) broke down despite an admissible spectral radius."""
+    """The solve against (I - loop) broke down despite an admissible spectral radius."""
 
 
 class NumericalFailure(ArithmeticError):
     """An underlying dense eigensolver failed to converge."""
 
 
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a square matrix (0 for the empty matrix)."""
+def spectral_radius(matrix: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue magnitude of a square matrix (0 for the empty matrix).
+
+    A stack (..., n, n) gives an array of radii over its leading axes.
+    """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return 0.0
-    try:
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    if a.shape[-1] == 0:
+        radii = np.zeros(a.shape[:-2])
+    else:
+        try:
+            radii = np.max(np.abs(np.linalg.eigvals(a)), axis=-1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    return float(radii) if a.ndim == 2 else radii
+
+
+def verify_contraction(loop: np.ndarray, freqs) -> None:
+    """Raise unless the loop block contracts at every sample.
+
+    ``loop`` is one (n, n) block or a stack (..., n, n) sampled at ``freqs``.
+    The smaller of the max column and row sums of |loop| certifies most
+    samples; eigenvalues decide the rest, and the first sample past
+    :data:`SPECTRAL_RADIUS_LIMIT` is raised.  Only undecided samples get a
+    condition estimate, logged past :data:`CONDITION_WARN_THRESHOLD`: a
+    certified bound b keeps cond_1(I - loop) <= n(1 + nb)/(1 - b), below
+    the threshold for n <= 99.
+    """
+    loop = np.asarray(loop)
+    n = loop.shape[-1]
+    if n == 0:
+        return
+    stack = loop.reshape(-1, n, n)
+    freqs = np.broadcast_to(freqs, loop.shape[:-2]).ravel()
+    magnitude = np.abs(stack)
+    bound = np.minimum(magnitude.sum(axis=1).max(axis=1), magnitude.sum(axis=2).max(axis=1))
+    # NaN bounds are undecided too, so the eigensolver reports them
+    suspects = np.nonzero(~(bound <= SPECTRAL_RADIUS_LIMIT))[0]
+    if suspects.size == 0:
+        return
+    radii = spectral_radius(stack[suspects])
+    bad = np.nonzero(radii > SPECTRAL_RADIUS_LIMIT)[0]
+    if bad.size:
+        first = int(suspects[bad[0]])
+        raise SpectralRadiusExceededAt(first, float(radii[bad[0]]), float(freqs[first]))
+    conds = np.linalg.cond(np.eye(n) - stack[suspects], 1)
+    for m, cond in zip(suspects, conds):
+        if cond > CONDITION_WARN_THRESHOLD:
+            logger.warning(
+                "ill-conditioned (I - loop) solve at f=%g Hz: condition estimate %.3g",
+                freqs[m], cond,
+            )
 
 
 @dataclass(frozen=True)
@@ -140,62 +198,36 @@ class TransferSample:
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
-    """LU factorization of (I - loop) at one frequency, reusable across solves.
+    """(I - loop) at one frequency or a stack of them, checked to contract.
 
-    Construction validates the spectral radius and estimates the condition
-    number; anything above :data:`CONDITION_WARN_THRESHOLD` is logged as a
-    diagnostic but does not fail.  The kernel depends only on the scatterer
-    loop block, so it can be shared across transmitter/receiver placements
-    and right-hand sides.
+    Construction runs :func:`verify_contraction`; :meth:`solve` then solves
+    all samples at once.  The kernel depends only on the scatterer loop
+    block, so it can be shared across transmitter/receiver placements and
+    right-hand sides.
     """
 
-    frequency_hz: float
-    spectral_radius: float
-    condition_estimate: float
-    _lu: np.ndarray
-    _piv: np.ndarray
+    frequency_hz: float | np.ndarray
+    _system: np.ndarray
 
     @classmethod
-    def from_loop_block(cls, loop: np.ndarray, frequency_hz: float) -> "PrecomputedKernel":
+    def from_loop_block(cls, loop: np.ndarray, frequency_hz) -> "PrecomputedKernel":
         loop = np.asarray(loop, dtype=complex)
-        rho = spectral_radius(loop)
-        if rho > SPECTRAL_RADIUS_LIMIT:
-            raise SpectralRadiusExceeded(rho)
-        n = loop.shape[0]
-        if n == 0:
-            return cls(float(frequency_hz), rho, 1.0,
-                       np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=np.int32))
-        system = np.eye(n, dtype=complex) - loop
-        anorm = np.linalg.norm(system, 1)
-        lu, piv = scipy.linalg.lu_factor(system, check_finite=False)
-        if np.any(np.diag(lu) == 0.0):
-            raise SingularSystem(
-                f"(I - loop) factorization has a zero pivot at f={frequency_hz:g} Hz"
-            )
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-        rcond, info = gecon(lu, anorm)
-        if info != 0 or rcond == 0.0:
-            raise SingularSystem(
-                f"(I - loop) is numerically singular at f={frequency_hz:g} Hz"
-            )
-        cond = 1.0 / float(rcond)
-        if cond > CONDITION_WARN_THRESHOLD:
-            logger.warning(
-                "ill-conditioned (I - loop) solve at f=%g Hz: condition estimate %.3g",
-                frequency_hz, cond,
-            )
-        return cls(float(frequency_hz), rho, cond, lu, piv)
+        verify_contraction(loop, frequency_hz)
+        return cls(frequency_hz, np.eye(loop.shape[-1]) - loop)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - loop) @ z = rhs for one or more right-hand-side columns."""
         rhs = np.asarray(rhs, dtype=complex)
-        if self._lu.shape[0] == 0:
+        if self._system.shape[-1] == 0:
             return rhs.copy()
-        return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
+        try:
+            return np.linalg.solve(self._system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"(I - loop) solve failed: {exc}") from exc
 
 
 def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
-    """Factor (I - loop) for ``graph`` at one frequency."""
+    """Contraction-checked (I - loop) for ``graph`` at one frequency."""
     return PrecomputedKernel.from_loop_block(
         adjacency_blocks(graph, freq_hz).loop, freq_hz
     )

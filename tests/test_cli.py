@@ -7,6 +7,10 @@ the determinism claim, compared byte for byte across reruns.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +294,46 @@ def test_validate_catches_an_edge_off_its_gain_law(monkeypatch, tmp_path, capsys
     assert status == 1
     assert "FAIL every edge carries the gain its class law gives" in out
     assert "8/9 checks passed" in out
+
+
+_TAMPERED_VALIDATE = textwrap.dedent("""
+    import sys
+    from dataclasses import replace
+
+    import revgraph.cli as cli
+    from revgraph.graph import ConstantGain, EdgeClass
+
+    honest = cli.generate_realization
+
+    def tampered(config, band):
+        realization = honest(config, band)
+        graph = realization.graph
+        feed = graph.edges_in_class(EdgeClass.TX_SCATTER)[0]
+        bumped = ConstantGain(1.5 * float(feed.gain.amplitude(band.f_min_hz, feed.delay_s)))
+        edges = tuple(replace(e, gain=bumped) if e is feed else e for e in graph.edges)
+        return replace(realization, graph=replace(graph, edges=edges))
+
+    cli.generate_realization = tampered
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_validate_catches_an_edge_off_its_gain_law_under_python_O(tmp_path):
+    # python -O strips assert statements; the validate checks must fail regardless
+    import revgraph
+
+    src = str(Path(revgraph.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg = _write(tmp_path, "c.json", {})
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_VALIDATE,
+         "validate", "--config", str(cfg), "--grid", "2e9,3e9,32"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL every edge carries the gain its class law gives" in proc.stdout
+    assert "8/9 checks passed" in proc.stdout
 
 
 def test_validate_mode_handles_empty_scatterer_field(tmp_path):

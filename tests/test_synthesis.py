@@ -13,7 +13,9 @@ Also covered:
 - sampled transfers against the per-frequency engine, bounce-slice
   additivity, every dissection range against the per-frequency engine and
   the walk enumeration, and per-sample contraction rejection with the
-  offending sample index attached
+  offending sample index attached, the same sample rejected by the
+  single-frequency path, logged condition warnings, and eigensolver
+  failures wrapped as NumericalFailure
 - ensemble and spatial averaging, including worker-pool parity
 - tail-slope fitting on synthetic spectra
 - CSV and sidecar emission
@@ -21,6 +23,7 @@ Also covered:
 
 import csv
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -36,9 +39,15 @@ from revgraph.graph import (
     tx,
     walk_sum,
 )
+import revgraph.scenario
 from revgraph.cli import _dissection_ranges
 from revgraph.scenario import ScenarioConfig, generate_realization
-from revgraph.transfer import BounceRange, partial_transfer_matrix
+from revgraph.transfer import (
+    BounceRange,
+    NumericalFailure,
+    partial_transfer_matrix,
+    transfer_matrix,
+)
 from revgraph.synthesis import (
     DelayPowerSpectrum,
     FrequencyGrid,
@@ -334,6 +343,60 @@ def test_scattererless_graph_samples_to_direct_values():
             np.testing.assert_array_equal(piece.pair(), direct)
         else:
             assert not piece.tensor.any()
+
+
+def _band_crossing_graph():
+    """The graph of the test above: its loop stops contracting on part of 1-2 GHz."""
+    edges = (
+        _flat_edge(tx(0), rx(0), 0.3, 5e-9),
+        _flat_edge(tx(0), scatterer(0), 0.4, 3e-9),
+        _flat_edge(scatterer(0), scatterer(0), 0.8, 0.0),
+        _flat_edge(scatterer(0), scatterer(1), 0.6, 1.1e-9, phase=math.pi),
+        _flat_edge(scatterer(1), scatterer(0), 0.6, 0.9e-9),
+        _flat_edge(scatterer(1), rx(0), 0.5, 4e-9),
+    )
+    return PropagationGraph(n_tx=1, n_rx=1, n_scatterers=2, edges=edges)
+
+
+def test_batched_and_single_frequency_paths_reject_the_same_sample():
+    graph = _band_crossing_graph()
+    grid = FrequencyGrid(1e9, 2e9, 64)
+    with pytest.raises(SpectralRadiusExceededAt) as batched:
+        sample_transfer(graph, grid)
+    first = grid.frequencies()[batched.value.sample_index]
+    with pytest.raises(SpectralRadiusExceededAt) as single:
+        partial_transfer_matrix(graph, first, BounceRange.full())
+    assert single.value.value == pytest.approx(batched.value.value, rel=1e-12)
+    assert single.value.frequency_hz == batched.value.frequency_hz
+    assert not revgraph.scenario._loop_is_contractive(graph, grid.frequencies())
+
+
+def test_ill_conditioned_solves_are_logged(caplog):
+    # a single loop edge is nilpotent (radius 0) yet leaves cond(I - loop) near 1e22
+    edges = (
+        _flat_edge(tx(0), scatterer(0), 0.5, 3e-9),
+        _flat_edge(scatterer(0), scatterer(1), 1e11, 1e-9),
+        _flat_edge(scatterer(1), rx(0), 0.5, 4e-9),
+    )
+    graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=2, edges=edges)
+    grid = FrequencyGrid(2e9, 3e9, 4)
+    for run in (lambda: transfer_matrix(graph, 2.5e9), lambda: sample_transfer(graph, grid)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="revgraph.transfer"):
+            run()
+        assert any(
+            r.name == "revgraph.transfer" and "ill-conditioned" in r.getMessage()
+            for r in caplog.records
+        )
+
+
+def test_eigensolver_failure_surfaces_as_numerical_failure(monkeypatch):
+    def broken(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", broken)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        sample_transfer(_band_crossing_graph(), FrequencyGrid(1e9, 2e9, 64))
 
 
 def test_response_samples_validate_tensor_shape():

@@ -36,6 +36,7 @@ from revgraph.graph import (
 )
 from revgraph.transfer import (
     BounceRange,
+    NumericalFailure,
     PrecomputedKernel,
     SPECTRAL_RADIUS_LIMIT,
     SpectralRadiusExceeded,
@@ -113,7 +114,6 @@ def test_kernel_with_zero_loop_solves_to_identity():
     kernel = PrecomputedKernel.from_loop_block(np.zeros((3, 3)), PROBE_HZ)
     rhs = np.arange(6, dtype=complex).reshape(3, 2)
     np.testing.assert_array_equal(kernel.solve(rhs), rhs)
-    assert kernel.spectral_radius == 0.0
 
 
 def test_kernel_backward_error_is_tiny():
@@ -156,6 +156,12 @@ def test_kernel_on_scattererless_graph_is_trivial():
     kernel = PrecomputedKernel.from_loop_block(np.zeros((0, 0)), PROBE_HZ)
     out = kernel.solve(np.zeros((0, 2)))
     assert out.shape == (0, 2)
+
+
+def test_kernel_reports_a_nan_loop_as_numerical_failure():
+    # a NaN loop passes no norm bound and fails none, so the eigensolver must see it
+    with pytest.raises(NumericalFailure):
+        PrecomputedKernel.from_loop_block(np.full((2, 2), np.nan), PROBE_HZ)
 
 
 # -- closed forms -------------------------------------------------------------
