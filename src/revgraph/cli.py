@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import block_samples, reverse_graph, walk_sum
+from .graph import EdgeClass, block_samples, reverse_graph, walk_sum
 from .scenario import Box, ScenarioConfig, edge_gain, generate_realization
 from .synthesis import (
     DelayPowerSpectrum,
@@ -189,15 +189,17 @@ def _require_probability(doc: dict, key: str) -> float:
     return value
 
 
+def _numbers(key: str, values) -> tuple[float, ...]:
+    for c in values:
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValidationError(key, f"entry {c!r} is not a number")
+    return tuple(float(c) for c in values)
+
+
 def _parse_point(key: str, value) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValidationError(key, f"expected [x, y, z], got {value!r}")
-    out = []
-    for c in value:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ValidationError(key, f"coordinate {c!r} is not a number")
-        out.append(float(c))
-    return tuple(out)
+    return _numbers(key, value)
 
 
 def _parse_points(doc: dict, key: str) -> tuple[tuple[float, float, float], ...]:
@@ -215,7 +217,7 @@ def _parse_room(doc: dict) -> Box:
     for pair in value:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValidationError("room", f"expected [low, high], got {pair!r}")
-        lo, hi = (float(c) for c in pair)
+        lo, hi = _numbers("room", pair)
         if not lo < hi:
             raise ValidationError("room", f"degenerate extent [{lo}, {hi}]")
         bounds.append((lo, hi))
@@ -346,7 +348,7 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
         pair = doc["fit_window_ns"]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValidationError("fit_window_ns", f"expected [start, stop], got {pair!r}")
-        fit_window = (float(pair[0]), float(pair[1]))
+        fit_window = _numbers("fit_window_ns", pair)
     else:
         fit_window = DEFAULT_FIT_WINDOW_NS
 
@@ -608,6 +610,15 @@ def _expect(condition, message: str) -> None:
         raise AssertionError(message)
 
 
+# Kept apart from the engine's own table so that a misplaced block shows.
+_BLOCK_CLASSES = (
+    ("direct", EdgeClass.DIRECT),
+    ("feed", EdgeClass.TX_SCATTER),
+    ("loop", EdgeClass.INTER_SCATTER),
+    ("collect", EdgeClass.SCATTER_RX),
+)
+
+
 def _validation_checks(spec: ExperimentSpec):
     """Yield (name, callable) pairs; each callable raises on failure."""
     scenario = spec.scenario
@@ -631,14 +642,19 @@ def _validation_checks(spec: ExperimentSpec):
                 _expect(math.isclose(baked, law, rel_tol=1e-12),
                         f"{edge.src}->{edge.dst} carries {baked!r}, its law gives {law!r} at {f:g} Hz")
 
-    def block_shape():
+    def block_placement():
         graph = state["realization"].graph
-        freqs = probe_grid.frequencies()[:2]
+        freqs = np.array([probe_grid.f_min_hz, probe_grid.f_max_hz])
         samples = block_samples(graph, freqs)
-        full = samples.at(0).full_matrix()
-        n_tx = graph.n_tx
-        _expect(not full[:n_tx, :].any(), "rows into transmitters must vanish")
-        _expect(not full[:, n_tx : n_tx + graph.n_rx].any(), "columns out of receivers must vanish")
+        for name, edge_class in _BLOCK_CLASSES:
+            block = getattr(samples, name)
+            covered = np.zeros(block.shape[1:], dtype=bool)
+            for edge in graph.edges_in_class(edge_class):
+                covered[edge.dst.index, edge.src.index] = True
+                placed = block[:, edge.dst.index, edge.src.index]
+                _expect(np.allclose(placed, edge.transfer_value(freqs), rtol=1e-12, atol=0.0),
+                        f"{edge.src}->{edge.dst} is not at [dst, src] of the {name} block")
+            _expect(not block[:, ~covered].any(), f"the {name} block has entries no edge accounts for")
 
     def contraction():
         graph = state["realization"].graph
@@ -693,7 +709,7 @@ def _validation_checks(spec: ExperimentSpec):
     return [
         ("realization generated within the rejection budget", generation),
         ("every edge carries the gain its class law gives", gain_laws),
-        ("transfer blocks keep transmitter rows and receiver columns empty", block_shape),
+        ("every edge sits at [dst, src] of its class block, and nothing else", block_placement),
         ("scatterer loop contracts on every configured grid", contraction),
         ("head plus tail reproduces the full transfer matrix", resolvent_split),
         ("closed form matches the walk enumeration to 4 bounces", walk_oracle),

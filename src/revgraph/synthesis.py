@@ -11,8 +11,8 @@ out of modeled range.  Ensemble and spatial averages of |y|^2 produce
 delay-power spectra whose tail slope can be extracted by a least-squares
 line fit in dB.
 
-Averages reduce with pairwise summation over a contiguous axis, so results
-do not depend on how runs were scheduled.
+Averages are running sums taken in run order as results arrive, so results
+do not depend on the worker count and memory does not grow with the runs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -313,13 +315,6 @@ class DelayPowerSpectrum:
         return self.grid.delays()
 
 
-def _pairwise_mean(arrays) -> np.ndarray:
-    # Stack with the reduction axis last and contiguous so numpy's pairwise
-    # summation applies; the result is independent of scheduling order.
-    stack = np.ascontiguousarray(np.stack(arrays, axis=-1))
-    return np.add.reduce(stack, axis=-1) / stack.shape[-1]
-
-
 def _annotate(exc: BaseException, run_index: int, seed: int) -> None:
     note = f"while simulating run {run_index} (seed {seed})"
     add_note = getattr(exc, "add_note", None)
@@ -329,15 +324,10 @@ def _annotate(exc: BaseException, run_index: int, seed: int) -> None:
         exc.args = exc.args + (note,)
 
 
-def _ensemble_run_powers(args) -> list[np.ndarray]:
-    config, grid, bounce_ranges, window, rx_index, tx_index = args
+def _ensemble_run_powers(config, grid, bounce_ranges, window, rx_index, tx_index):
     realization = generate_realization(config, grid)
     tensors = _sampled_slices(realization.graph, grid, bounce_ranges)
-    out = []
-    for tensor in tensors:
-        y = _idft(tensor[:, rx_index, tx_index] * window.samples, grid)
-        out.append(np.abs(y) ** 2)
-    return out
+    return [np.abs(_idft(t[:, rx_index, tx_index] * window.samples, grid)) ** 2 for t in tensors]
 
 
 def ensemble_spectra(
@@ -355,49 +345,37 @@ def ensemble_spectra(
 
     Run ``i`` simulates an independent realization seeded ``config.seed + i``;
     all requested bounce-order slices share that run's frequency solves.
-    ``workers`` > 1 distributes runs over processes; the average is formed
-    in run order either way, so results match the serial ones.
+    ``workers`` > 1 distributes runs over processes.  Each run's powers are
+    added to a running total per range as results arrive, in run-index order
+    either way, so pooled results match the serial ones bit for bit and
+    memory stays independent of ``n_runs``.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if window.grid != grid:
         raise LengthMismatch("window grid differs from the sampling grid")
     bounce_ranges = tuple(bounce_ranges)
-    args = [
-        (replace(config, seed=config.seed + i), grid, bounce_ranges, window, rx_index, tx_index)
-        for i in range(n_runs)
-    ]
-    per_range: list[list[np.ndarray]] = [[] for _ in bounce_ranges]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_ensemble_run_powers, args, chunksize=max(1, n_runs // (4 * workers)))
-            for i, arg in enumerate(args):
-                try:
-                    powers = next(results)
-                except StopIteration:  # pragma: no cover - map yields n_runs items
-                    raise
-                except Exception as exc:
-                    _annotate(exc, i, arg[0].seed)
-                    raise
-                for slot, p in zip(per_range, powers):
-                    slot.append(p)
-    else:
-        for i, arg in enumerate(args):
+    run = partial(_ensemble_run_powers, grid=grid, bounce_ranges=bounce_ranges,
+                  window=window, rx_index=rx_index, tx_index=tx_index)
+    seeds = range(config.seed, config.seed + n_runs)
+    configs = (replace(config, seed=seed) for seed in seeds)
+    totals = [np.zeros(grid.n_samples) for _ in bounce_ranges]
+    pooled = workers is not None and workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+        results = pool.map(run, configs) if pooled else map(run, configs)
+        for i, seed in enumerate(seeds):
             try:
-                powers = _ensemble_run_powers(arg)
+                powers = next(results)
             except Exception as exc:
-                _annotate(exc, i, arg[0].seed)
+                _annotate(exc, i, seed)
                 raise
-            for slot, p in zip(per_range, powers):
-                slot.append(p)
+            for total, p in zip(totals, powers):
+                total += p
     return tuple(
         DelayPowerSpectrum(
-            power=_pairwise_mean(slot),
-            grid=grid,
-            kind=SpectrumKind.ENSEMBLE,
-            count=n_runs,
+            power=total / n_runs, grid=grid, kind=SpectrumKind.ENSEMBLE, count=n_runs
         )
-        for slot in per_range
+        for total in totals
     )
 
 
@@ -470,7 +448,7 @@ def spatial_spectrum(
     scatter_side = tuple(
         e for e in graph.edges if e.dst.kind is not VertexKind.RX
     )
-    powers = []
+    total = np.zeros(grid.n_samples)
     for k, position in enumerate(positions):
         moved = relocate_receiver(graph, rx_index, position)
         moved_scatter_side = tuple(
@@ -489,9 +467,9 @@ def spatial_spectrum(
         direct, collect = _receiver_blocks(moved, freqs)
         (tensor,) = bounce_slices(direct, base.loop, collect, zt, (BounceRange.full(),))
         y = _idft(tensor[:, rx_index, tx_index] * window.samples, grid)
-        powers.append(np.abs(y) ** 2)
+        total += np.abs(y) ** 2
     return DelayPowerSpectrum(
-        power=_pairwise_mean(powers),
+        power=total / len(positions),
         grid=grid,
         kind=SpectrumKind.SPATIAL,
         count=len(positions),

@@ -93,10 +93,25 @@ def test_probability_out_of_range(tmp_path):
     assert str(info.value) == "p_vis: not in [0,1]"
 
 
-def test_booleans_are_not_numbers(tmp_path):
-    path = _write(tmp_path, "b.json", {"seed": True})
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"seed": True},
+        {"fit_window_ns": [True, 120]},
+        {"fit_window_ns": ["a", 120]},
+        {"fit_window_ns": [None, 120]},
+        {"room": [[0, 5], [0, 5], [True, 2.6]]},
+        {"room": [[0, "x"], [0, 5], [0, 2.6]]},
+        {"room": [[0, 5], [None, 5], [0, 2.6]]},
+    ],
+    ids=["seed-true", "fit_window-true", "fit_window-string", "fit_window-null",
+         "room-true", "room-string", "room-null"],
+)
+def test_booleans_are_not_numbers(tmp_path, doc):
+    path = _write(tmp_path, "b.json", doc)
+    with pytest.raises(ValidationError) as info:
         load_config(path)
+    assert info.value.field == next(iter(doc))
 
 
 def test_two_calibrations_rejected(tmp_path):
@@ -296,6 +311,26 @@ def test_validate_catches_an_edge_off_its_gain_law(monkeypatch, tmp_path, capsys
     assert "8/9 checks passed" in out
 
 
+def test_validate_catches_a_transposed_loop_block(monkeypatch, tmp_path, capsys):
+    import revgraph.cli as cli
+
+    honest = cli.block_samples
+
+    def transposed(graph, freqs):
+        samples = honest(graph, freqs)
+        return replace(samples, loop=samples.loop.transpose(0, 2, 1))
+
+    monkeypatch.setattr(cli, "block_samples", transposed)
+    cfg = _write(tmp_path, "c.json", {})
+    status = main(["validate", "--config", str(cfg), "--grid", "2e9,3e9,32"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "FAIL every edge sits at [dst, src] of its class block, and nothing else" in out
+    # transposing keeps the spectral radius, so only the placement check fails
+    assert "ok   scatterer loop contracts on every configured grid" in out
+    assert "8/9 checks passed" in out
+
+
 _TAMPERED_VALIDATE = textwrap.dedent("""
     import sys
     from dataclasses import replace
@@ -368,6 +403,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope}")
     assert main(["response", "--config", str(broken)]) == 2
+    capsys.readouterr()
+    wordy = _write(tmp_path, "wordy.json", {"fit_window_ns": ["a", 120]})
+    assert main(["response", "--config", str(wordy)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_missing_out_dir_exits_two(tmp_path, capsys):

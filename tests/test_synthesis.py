@@ -16,7 +16,9 @@ Also covered:
   offending sample index attached, the same sample rejected by the
   single-frequency path, logged condition warnings, and eigensolver
   failures wrapped as NumericalFailure
-- ensemble and spatial averaging, including worker-pool parity
+- ensemble and spatial averaging, including worker-pool parity over
+  several ranges, ensemble memory that does not grow with the run count,
+  and run notes on interpreters without add_note
 - tail-slope fitting on synthetic spectra
 - CSV and sidecar emission
 """
@@ -25,6 +27,7 @@ import csv
 import json
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +62,7 @@ from revgraph.synthesis import (
     SpectralRadiusExceededAt,
     SpectrumKind,
     WindowSpectrum,
-    _pairwise_mean,
+    _annotate,
     config_digest,
     ensemble_spectra,
     ensemble_spectrum,
@@ -444,9 +447,34 @@ def test_worker_pool_matches_serial_average():
     config = ScenarioConfig(seed=60, n_scatterers=4)
     grid = FrequencyGrid(2e9, 3e9, 16)
     window = hann_window(grid)
-    serial = ensemble_spectrum(config, grid, 4, window)
-    parallel = ensemble_spectrum(config, grid, 4, window, workers=2)
-    np.testing.assert_array_equal(parallel.power, serial.power)
+    ranges = (BounceRange.full(), BounceRange.exactly(0), BounceRange.exactly(2),
+              BounceRange.tail(3))
+    serial = ensemble_spectra(config, grid, 4, window, bounce_ranges=ranges)
+    parallel = ensemble_spectra(config, grid, 4, window, bounce_ranges=ranges, workers=2)
+    for s, p in zip(serial, parallel, strict=True):
+        np.testing.assert_array_equal(p.power, s.power)
+
+
+def test_ensemble_memory_does_not_grow_with_runs():
+    # Powers are summed as runs arrive, so peak memory must not hold one
+    # array per run: the peak may grow by less than one M-sample float64
+    # array per added run (keeping every run's six arrays costs six).
+    config = ScenarioConfig(seed=90)
+    grid = FrequencyGrid(2e9, 3e9, 1024)
+    window = hann_window(grid)
+    ranges = (BounceRange.full(),) + tuple(BounceRange.exactly(k) for k in range(1, 6))
+    ensemble_spectra(config, grid, 1, window, bounce_ranges=ranges)  # warm caches
+
+    def peak_bytes(n_runs):
+        tracemalloc.start()
+        try:
+            ensemble_spectra(config, grid, n_runs, window, bounce_ranges=ranges)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak_bytes(8), peak_bytes(32)
+    assert (many - few) / (32 - 8) < grid.n_samples * 8
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -471,6 +499,17 @@ def test_ensemble_error_names_the_failing_run(monkeypatch, workers):
     notes = getattr(info.value, "__notes__", [])
     combined = " ".join([str(info.value)] + list(notes))
     assert "while simulating run 1 (seed 71)" in combined
+
+
+def test_run_note_goes_into_args_without_add_note():
+    # Interpreters before 3.11 have no add_note; the note must then ride in args.
+    class NoNotes(RuntimeError):
+        add_note = None
+
+    exc = NoNotes("synthetic failure")
+    _annotate(exc, 1, 71)
+    assert exc.args == ("synthetic failure", "while simulating run 1 (seed 71)")
+    assert not hasattr(exc, "__notes__")
 
 
 def test_spatial_average_over_one_position_matches_single_run():
@@ -527,13 +566,6 @@ def test_spatial_rejects_a_move_that_alters_the_feed(monkeypatch):
     position = tuple(realization.graph.position(rx(0)))
     with pytest.raises(RuntimeError, match="receiver move altered"):
         spatial_spectrum(realization, [position], grid, hann_window(grid))
-
-
-def test_pairwise_mean_matches_numpy_mean():
-    rng = np.random.default_rng(9)
-    arrays = [rng.normal(size=33) for _ in range(17)]
-    np.testing.assert_allclose(_pairwise_mean(arrays), np.mean(arrays, axis=0),
-                               rtol=1e-14)
 
 
 def test_spectrum_validation():
