@@ -548,14 +548,46 @@ def walk_sum(
 
     Returns an (n_rx, n_tx) matrix; this is the brute-force counterpart of
     the closed-form partial transfer matrix and is meant for small graphs.
+
+    The result equals summing :func:`path_transfer` over
+    :func:`enumerate_paths` bit for bit, without building the walks: each
+    edge's transfer value is evaluated once, outbound edges are kept as
+    integer-indexed (next vertex, value) lists in the enumeration's order,
+    and the depth-first search carries each walk's left-to-right product.
+    Every path counts towards ``max_paths``, including those below
+    ``min_bounces``, so :class:`ExplosionGuard` fires where the enumeration
+    would.
     """
     if not 0 <= min_bounces <= max_bounces:
         raise ValueError(f"need 0 <= min_bounces <= max_bounces, got ({min_bounces}, {max_bounces})")
+    f = float(freq_hz)
+    n_sc = graph.n_scatterers
+    # Scatterers are sources 0..n_sc-1, transmitters follow them.
+    out_rx: list[list[tuple[int, complex]]] = [[] for _ in range(n_sc + graph.n_tx)]
+    out_sc: list[list[tuple[int, complex]]] = [[] for _ in range(n_sc + graph.n_tx)]
+    for buckets, out in ((graph._out_rx, out_rx), (graph._out_sc, out_sc)):
+        for src, edges in buckets.items():
+            source = src.index if src.kind is VertexKind.SCATTERER else n_sc + src.index
+            out[source] = [(e.dst.index, e.transfer_value(f)) for e in edges]
+    produced = 0
+
+    def descend(source: int, acc: complex, bounces: int, column: list[complex]) -> None:
+        nonlocal produced
+        for r, value in out_rx[source]:
+            produced += 1
+            if produced > max_paths:
+                raise ExplosionGuard(f"more than {max_paths} paths enumerated")
+            if bounces >= min_bounces:
+                column[r] += acc * value
+        if bounces < max_bounces:
+            for s, value in out_sc[source]:
+                descend(s, acc * value, bounces + 1, column)
+
     total = np.zeros((graph.n_rx, graph.n_tx), dtype=complex)
-    for walk in enumerate_paths(graph, max_bounces, max_paths=max_paths):
-        if len(walk) - 2 < min_bounces:
-            continue
-        total[walk[-1].index, walk[0].index] += path_transfer(graph, walk, freq_hz)
+    for t in range(graph.n_tx):
+        column = [0j] * graph.n_rx
+        descend(n_sc + t, 1.0 + 0.0j, 0, column)
+        total[:, t] = column
     return total
 
 

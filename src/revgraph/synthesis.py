@@ -22,9 +22,9 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +111,21 @@ class FrequencyGrid:
     def delays(self) -> np.ndarray:
         return self.delta_tau * np.arange(self.n_samples)
 
+    # The CSV writers' axis columns, formatted once per grid object and shared
+    # by every file written on it.  They live in the instance dict, so they go
+    # with the grid; pickles carry the three fields only.
+
+    @cached_property
+    def _frequency_text(self) -> list[str]:
+        return _text(self.frequencies())
+
+    @cached_property
+    def _delay_text(self) -> list[str]:
+        return _text(self.delays())
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class WindowSpectrum:
@@ -172,6 +187,7 @@ class ResponseSamples:
         return self.grid.n_samples
 
     def __getitem__(self, m: int) -> TransferSample:
+        m = range(len(self))[m]  # negative indices count from the end
         freq = self.grid.f_min_hz + self.grid.delta_f * m
         return TransferSample(freq, self.tensor[m], self.bounce_range)
 
@@ -303,8 +319,8 @@ class DelayPowerSpectrum:
         p = np.asarray(self.power, dtype=float)
         if p.shape != (self.grid.n_samples,):
             raise ValueError(f"power shape {p.shape} does not match the grid")
-        if np.any(p < 0.0):
-            raise ValueError("power bins must be nonnegative")
+        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+            raise ValueError("power bins must be finite and nonnegative")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         p.setflags(write=False)
@@ -345,7 +361,8 @@ def ensemble_spectra(
 
     Run ``i`` simulates an independent realization seeded ``config.seed + i``;
     all requested bounce-order slices share that run's frequency solves.
-    ``workers`` > 1 distributes runs over processes.  Each run's powers are
+    ``workers`` > 1 distributes runs over at most ``n_runs`` processes, and a
+    single run stays in this process.  Each run's powers are
     added to a running total per range as results arrive, in run-index order
     either way, so pooled results match the serial ones bit for bit and
     memory stays independent of ``n_runs``.
@@ -360,6 +377,8 @@ def ensemble_spectra(
     seeds = range(config.seed, config.seed + n_runs)
     configs = (replace(config, seed=seed) for seed in seeds)
     totals = [np.zeros(grid.n_samples) for _ in bounce_ranges]
+    if workers is not None:
+        workers = min(workers, n_runs)
     pooled = workers is not None and workers > 1
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         results = pool.map(run, configs) if pooled else map(run, configs)
@@ -527,49 +546,53 @@ def fit_tail_slope(
 # -- CSV / metadata emission --------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _text(values: np.ndarray) -> list[str]:
+    """repr of every value: shortest round-trip text, '-0.0', 'inf', 'nan'."""
+    return list(map(repr, values.tolist()))
+
+
+def _write_columns(path, header: str, columns) -> None:
+    rows = map(",".join, zip(*columns))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
 def write_response_csv(path, samples: ResponseSamples) -> None:
-    """Frequency-domain CSV: freq_hz plus re/im columns per Tx/Rx pair."""
-    path = Path(path)
+    """Frequency-domain CSV: freq_hz plus re/im columns per Tx/Rx pair.
+
+    Columns are formatted whole, one ``repr`` per float; the frequency column
+    is formatted once per grid object and reused by every file on that grid.
+    """
     _, n_rx, n_tx = samples.tensor.shape
-    columns = ["freq_hz"]
+    header = ["freq_hz"]
+    columns = [samples.grid._frequency_text]
     for r in range(n_rx):
         for t in range(n_tx):
-            columns += [f"h_rx{r}_tx{t}_re", f"h_rx{r}_tx{t}_im"]
-    freqs = samples.grid.frequencies()
-    lines = [",".join(columns)]
-    for m in range(len(samples)):
-        row = [_fmt(freqs[m])]
-        for r in range(n_rx):
-            for t in range(n_tx):
-                value = samples.tensor[m, r, t]
-                row += [_fmt(value.real), _fmt(value.imag)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+            header += [f"h_rx{r}_tx{t}_re", f"h_rx{r}_tx{t}_im"]
+            pair = samples.pair(r, t)
+            columns += [_text(pair.real), _text(pair.imag)]
+    _write_columns(path, ",".join(header), columns)
 
 
 def write_impulse_csv(path, impulse: ImpulseResponse) -> None:
-    """Delay-domain CSV with columns delay_s, h_re, h_im."""
-    path = Path(path)
-    delays = impulse.delay_axis
-    lines = ["delay_s,h_re,h_im"]
-    for i, value in enumerate(impulse.samples):
-        lines.append(f"{_fmt(delays[i])},{_fmt(value.real)},{_fmt(value.imag)}")
-    path.write_text("\n".join(lines) + "\n")
+    """Delay-domain CSV with columns delay_s, h_re, h_im.
+
+    The delay column is formatted once per grid object and shared by every
+    impulse and spectrum file written on that grid.
+    """
+    y = impulse.samples
+    _write_columns(path, "delay_s,h_re,h_im",
+                   [impulse.grid._delay_text, _text(y.real), _text(y.imag)])
 
 
 def write_spectrum_csv(path, spectrum: DelayPowerSpectrum) -> None:
-    """Delay-power CSV with linear and dB columns (dB is -inf on empty bins)."""
-    path = Path(path)
-    delays = spectrum.delay_axis
-    lines = ["delay_s,power_linear,power_db"]
-    for i, p in enumerate(spectrum.power):
-        db = 10.0 * math.log10(p) if p > 0.0 else -math.inf
-        lines.append(f"{_fmt(delays[i])},{_fmt(p)},{_fmt(db)}")
-    path.write_text("\n".join(lines) + "\n")
+    """Delay-power CSV with linear and dB columns (dB is -inf on empty bins).
+
+    The delay column is shared per grid object, as in :func:`write_impulse_csv`.
+    """
+    power = spectrum.power.tolist()
+    db = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in power]
+    _write_columns(path, "delay_s,power_linear,power_db",
+                   [spectrum.grid._delay_text, map(repr, power), map(repr, db)])
 
 
 def config_digest(config_doc: dict) -> str:

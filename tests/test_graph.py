@@ -9,6 +9,8 @@ Covers:
 - reversal: involution, block transposition, role swap of a feed edge
 - walk enumeration: documented example paths, counts on small topologies,
   the explosion guard, and path-product consistency with the blocks
+- walk sums: bitwise equal to path_transfer summed over enumerate_paths,
+  with every enumerated path counted by the explosion guard
 - JSON round trip is value-identical
 """
 
@@ -41,6 +43,7 @@ from revgraph.graph import (
     tx,
     walk_sum,
 )
+from revgraph.scenario import ScenarioConfig, generate_realization
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,6 +362,34 @@ def test_walk_sums_match_block_products():
             np.testing.assert_allclose(walk_sum(graph, f, k, k), term,
                                        rtol=1e-10, atol=1e-14)
             power = power @ blocks.loop
+
+
+def _enumerated_sum(graph, f, lo, hi):
+    """walk_sum's definition: path_transfer summed over enumerate_paths."""
+    total = np.zeros((graph.n_rx, graph.n_tx), dtype=complex)
+    for walk in enumerate_paths(graph, hi):
+        if len(walk) - 2 >= lo:
+            total[walk[-1].index, walk[0].index] += path_transfer(graph, walk, f)
+    return total
+
+
+@pytest.mark.parametrize("bounds", [(0, 4), (2, 3), (0, 0), (1, 5)])
+def test_walk_sum_equals_the_enumerated_path_sum_bitwise(bounds):
+    generated = generate_realization(ScenarioConfig(seed=3, n_scatterers=5), (2e9, 3e9)).graph
+    for graph in (_example_mimo_graph(), generated):
+        for f in (2e9, 2.7e9):
+            np.testing.assert_array_equal(walk_sum(graph, f, *bounds),
+                                          _enumerated_sum(graph, f, *bounds))
+
+
+def test_walk_sum_guard_counts_paths_below_min_bounces():
+    graph = _example_mimo_graph()
+    with pytest.raises(ExplosionGuard):
+        walk_sum(graph, 2.5e9, 0, 6, max_paths=5)
+    n_paths = sum(1 for _ in enumerate_paths(graph, 4))
+    walk_sum(graph, 2.5e9, 4, 4, max_paths=n_paths)
+    with pytest.raises(ExplosionGuard):
+        walk_sum(graph, 2.5e9, 4, 4, max_paths=n_paths - 1)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -20,13 +20,16 @@ Also covered:
   several ranges, ensemble memory that does not grow with the run count,
   and run notes on interpreters without add_note
 - tail-slope fitting on synthetic spectra
-- CSV and sidecar emission
+- CSV and sidecar emission, byte for byte against a per-row formatter,
+  with axis columns that are not pickled with their grid
+- pools capped at the run count
 """
 
 import csv
 import json
 import logging
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -402,6 +405,20 @@ def test_eigensolver_failure_surfaces_as_numerical_failure(monkeypatch):
         sample_transfer(_band_crossing_graph(), FrequencyGrid(1e9, 2e9, 64))
 
 
+def test_negative_indices_pick_the_frequency_of_their_sample():
+    grid = FrequencyGrid(2e9, 3e9, 8)
+    tensor = np.arange(8, dtype=complex).reshape(8, 1, 1)
+    samples = ResponseSamples(grid=grid, bounce_range=BounceRange.full(), tensor=tensor)
+    freqs = grid.frequencies()
+    for m, expected in ((-1, 7), (-8, 0)):
+        sample = samples[m]
+        assert sample.frequency_hz == freqs[expected]
+        assert sample.matrix[0, 0] == expected
+    for m in (8, -9):
+        with pytest.raises(IndexError):
+            samples[m]
+
+
 def test_response_samples_validate_tensor_shape():
     grid = FrequencyGrid(2e9, 3e9, 8)
     with pytest.raises(ValueError):
@@ -453,6 +470,37 @@ def test_worker_pool_matches_serial_average():
     parallel = ensemble_spectra(config, grid, 4, window, bounce_ranges=ranges, workers=2)
     for s, p in zip(serial, parallel, strict=True):
         np.testing.assert_array_equal(p.power, s.power)
+
+
+def test_pool_is_no_larger_than_the_run_count(monkeypatch):
+    # The fake records the pool size and maps in this process, so no worker starts.
+    import revgraph.synthesis as synthesis
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(synthesis, "ProcessPoolExecutor", RecordingPool)
+    config = ScenarioConfig(seed=61, n_scatterers=4)
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    window = hann_window(grid)
+    serial = ensemble_spectrum(config, grid, 2, window)
+    pooled = ensemble_spectrum(config, grid, 2, window, workers=8)
+    assert sizes == [2]
+    np.testing.assert_array_equal(pooled.power, serial.power)
+    ensemble_spectrum(config, grid, 1, window, workers=4)  # one run stays serial
+    assert sizes == [2]
 
 
 def test_ensemble_memory_does_not_grow_with_runs():
@@ -578,6 +626,15 @@ def test_spectrum_validation():
                            kind=SpectrumKind.ENSEMBLE, count=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectrum_rejects_nonfinite_bins(bad):
+    power = np.ones(8)
+    power[3] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        DelayPowerSpectrum(power=power, grid=FrequencyGrid(2e9, 3e9, 8),
+                           kind=SpectrumKind.ENSEMBLE, count=1)
+
+
 # -- tail fitting -------------------------------------------------------------------
 
 
@@ -670,6 +727,105 @@ def test_spectrum_csv_marks_empty_bins(tmp_path):
     assert float(rows[0]["power_linear"]) == 0.0
     assert rows[0]["power_db"] == "-inf"
     assert float(rows[8]["power_db"]) == pytest.approx(10.0 * math.log10(power[8]))
+
+
+def _fmt(value):
+    return repr(float(value))
+
+
+def _reference_response(samples):
+    """The row-by-row formatter the column-wise writer must reproduce."""
+    _, n_rx, n_tx = samples.tensor.shape
+    header = ["freq_hz"]
+    for r in range(n_rx):
+        for t in range(n_tx):
+            header += [f"h_rx{r}_tx{t}_re", f"h_rx{r}_tx{t}_im"]
+    freqs = samples.grid.frequencies()
+    lines = [",".join(header)]
+    for m in range(len(samples)):
+        row = [_fmt(freqs[m])]
+        for r in range(n_rx):
+            for t in range(n_tx):
+                value = samples.tensor[m, r, t]
+                row += [_fmt(value.real), _fmt(value.imag)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_impulse(impulse):
+    delays = impulse.delay_axis
+    lines = ["delay_s,h_re,h_im"]
+    for i, value in enumerate(impulse.samples):
+        lines.append(f"{_fmt(delays[i])},{_fmt(value.real)},{_fmt(value.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_spectrum(spectrum):
+    delays = spectrum.delay_axis
+    lines = ["delay_s,power_linear,power_db"]
+    for i, p in enumerate(spectrum.power):
+        db = 10.0 * math.log10(p) if p > 0.0 else -math.inf
+        lines.append(f"{_fmt(delays[i])},{_fmt(p)},{_fmt(db)}")
+    return "\n".join(lines) + "\n"
+
+
+# Zeros of both signs, the smallest subnormal, the switch to exponent
+# notation at 1e16, and non-finite values.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 9999999999999998.0,
+                1e-4, 1e-5, math.inf, -math.inf, math.nan, -1e-300, 123456789.123]
+
+
+def _edge_value_pairs():
+    # Set the parts directly: 1j * inf would turn the real part into nan.
+    z = np.empty(len(_EDGE_VALUES), dtype=complex)
+    z.real = _EDGE_VALUES
+    z.imag = _EDGE_VALUES[::-1]
+    return z
+
+
+def test_response_csv_matches_the_row_formatter_bytewise(tmp_path):
+    grid = FrequencyGrid(2.1e9, 2.9e9, 14)
+    rng = np.random.default_rng(11)
+    tensor = rng.normal(size=(14, 2, 3)) + 1j * rng.normal(size=(14, 2, 3))
+    tensor[:, 1, 2] = _edge_value_pairs()
+    samples = ResponseSamples(grid=grid, bounce_range=BounceRange.full(), tensor=tensor)
+    path = tmp_path / "response.csv"
+    write_response_csv(path, samples)
+    assert path.read_text() == _reference_response(samples)
+
+
+def test_impulse_csv_matches_the_row_formatter_bytewise(tmp_path):
+    grid = FrequencyGrid(2e9, 3e9, 14)
+    y = _edge_value_pairs()
+    pulses = [ImpulseResponse(samples=y, grid=grid),
+              ImpulseResponse(samples=y[::-1], grid=grid)]
+    for k, pulse in enumerate(pulses):  # the second file reuses the delay column
+        path = tmp_path / f"impulse{k}.csv"
+        write_impulse_csv(path, pulse)
+        assert path.read_text() == _reference_impulse(pulse)
+
+
+def test_spectrum_csv_matches_the_row_formatter_bytewise(tmp_path):
+    grid = FrequencyGrid(2e9, 3e9, 10)
+    power = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-300, 0.5, 1e16, 1e17, 3e300, 0.0])
+    spectrum = DelayPowerSpectrum(power=power, grid=grid,
+                                  kind=SpectrumKind.SPATIAL, count=3)
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(path, spectrum)
+    assert path.read_text() == _reference_spectrum(spectrum)
+
+
+def test_formatted_axis_columns_are_not_pickled(tmp_path):
+    grid = FrequencyGrid(2e9, 3e9, 64)
+    before = len(pickle.dumps(grid))
+    samples = ResponseSamples(grid=grid, bounce_range=BounceRange.full(),
+                              tensor=np.ones((64, 1, 1), dtype=complex))
+    write_response_csv(tmp_path / "response.csv", samples)
+    write_impulse_csv(tmp_path / "impulse.csv",
+                      ImpulseResponse(samples=np.ones(64, dtype=complex), grid=grid))
+    assert len(pickle.dumps(grid)) == before
+    copy = pickle.loads(pickle.dumps(grid))
+    assert copy == grid and vars(copy) == {"f_min_hz": 2e9, "f_max_hz": 3e9, "n_samples": 64}
 
 
 def test_sidecar_records_grid_seeds_and_digest(tmp_path):
