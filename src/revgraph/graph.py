@@ -18,7 +18,8 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -250,7 +251,8 @@ class PropagationGraph:
     """Immutable propagation graph.
 
     Transmitters have no inbound edges, receivers no outbound edges, and
-    parallel edges and loops are rejected.  ``positions`` is optional; when
+    parallel edges are rejected.  Scatterer self-loops are accepted and sit
+    on the diagonal of the loop block.  ``positions`` is optional; when
     given it must cover every vertex (geometric operations fail with
     :class:`MissingPositions` otherwise).
     """
@@ -304,6 +306,12 @@ class PropagationGraph:
                 lst.sort(key=lambda e: e.dst.index)
         object.__setattr__(self, "_out_rx", out_rx)
         object.__setattr__(self, "_out_sc", out_sc)
+
+    @cached_property
+    def _edge_table(self) -> "_EdgeTable":
+        # Built on first use and kept in the instance dict; the graph is
+        # immutable, so the table never goes stale.
+        return _EdgeTable.of(self)
 
     # - accessors -
 
@@ -371,7 +379,13 @@ class AdjacencyBlocks:
 
 @dataclass(frozen=True)
 class BlockSamples:
-    """Adjacency blocks evaluated on a frequency axis (leading dimension)."""
+    """Adjacency blocks evaluated on a frequency axis (leading dimension).
+
+    The blocks returned by :func:`block_samples` are views of
+    frequency-minor storage, (rows, cols, m), so each edge's samples are one
+    contiguous row and ``np.moveaxis(block, 0, -1)`` gives that storage back
+    without a copy.
+    """
 
     freqs: np.ndarray    # (m,)
     direct: np.ndarray   # (m, n_rx, n_tx)
@@ -397,32 +411,113 @@ _BLOCK_OF_CLASS = {
 }
 
 
-def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
-    """Evaluate all adjacency blocks of ``graph`` on a frequency axis.
+class _EdgeRow(NamedTuple):
+    """One edge as the block assembly needs it."""
 
-    Frequencies must be strictly positive whenever any edge carries a
-    frequency-dependent gain law.
+    dst: int
+    src: int
+    two_pi_delay: float
+    phase: float
+    gain: EdgeGainSpec
+    delay_s: float
+    flat: float | None  # the amplitude of a frequency-flat gain
+
+
+@dataclass(frozen=True)
+class _EdgeTable:
+    """A graph's edges grouped by block, with the loop's flat-gain norm bound.
+
+    ``loop_bound`` is None unless every loop edge has a frequency-flat gain.
+    It is then the smaller of the max column and row sums of the loop's
+    amplitude matrix, inflated so that it bounds those sums of the moduli of
+    the stored samples at every frequency: a stored sample is the amplitude
+    times a rounded unit phasor, rounded once more, so its modulus exceeds
+    the amplitude by at most 2 eps relative, and the float sums of n
+    amplitudes fall short of the exact ones by at most (n - 1) eps / 2.
     """
+
+    shapes: dict[str, tuple[int, int]]
+    rows: dict[str, tuple[_EdgeRow, ...]]
+    frequency_dependent: bool
+    loop_bound: float | None
+
+    @classmethod
+    def of(cls, graph: "PropagationGraph") -> "_EdgeTable":
+        n_sc = graph.n_scatterers
+        shapes = {
+            "direct": (graph.n_rx, graph.n_tx),
+            "feed": (n_sc, graph.n_tx),
+            "loop": (n_sc, n_sc),
+            "collect": (graph.n_rx, n_sc),
+        }
+        rows: dict[str, list[_EdgeRow]] = {name: [] for name in shapes}
+        for e in graph.edges:
+            flat = None if e.gain.frequency_dependent else float(e.gain.amplitude(1.0, e.delay_s))
+            rows[_BLOCK_OF_CLASS[e.edge_class]].append(_EdgeRow(
+                e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s, flat
+            ))
+        loop_bound = None
+        if all(row.flat is not None for row in rows["loop"]):
+            amplitude = np.zeros(shapes["loop"])
+            for row in rows["loop"]:
+                amplitude[row.dst, row.src] = row.flat
+            sums = (amplitude.sum(axis=0).max(initial=0.0), amplitude.sum(axis=1).max(initial=0.0))
+            loop_bound = float(min(sums)) * (1.0 + (n_sc + 4) * math.ulp(1.0))
+        return cls(
+            shapes=shapes,
+            rows={name: tuple(r) for name, r in rows.items()},
+            frequency_dependent=any(e.gain.frequency_dependent for e in graph.edges),
+            loop_bound=loop_bound,
+        )
+
+    def stacks(self, f: np.ndarray, names) -> dict[str, np.ndarray]:
+        """Frequency-minor blocks (rows, cols, m) on the checked axis ``f``.
+
+        Each edge writes cos and sin of phase - 2 pi delay f into its row
+        and then scales it by its amplitude, amplitude first: bit for bit
+        the samples of :meth:`Edge.transfer_value`.
+        """
+        out = {}
+        for name in names:
+            stack = np.zeros(self.shapes[name] + f.shape, dtype=complex)
+            for row in self.rows[name]:
+                x = row.phase - row.two_pi_delay * f
+                sample = stack[row.dst, row.src]
+                np.cos(x, out=sample.real)
+                np.sin(x, out=sample.imag)
+                amplitude = row.gain.amplitude(f, row.delay_s) if row.flat is None else row.flat
+                np.multiply(amplitude, sample, out=sample)
+            stack.setflags(write=False)
+            out[name] = stack
+        return out
+
+
+def _frequency_axis(graph: PropagationGraph, freqs) -> np.ndarray:
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     if f.ndim != 1:
         raise ValueError("freqs must be one-dimensional")
-    if any(e.gain.frequency_dependent for e in graph.edges) and np.any(f <= 0.0):
+    if not np.all(np.isfinite(f)):
+        raise ValueError("frequencies must be finite")
+    if graph._edge_table.frequency_dependent and np.any(f <= 0.0):
         raise ValueError("frequency-law gains require strictly positive frequencies")
-    m = f.shape[0]
-    shapes = {
-        "direct": (m, graph.n_rx, graph.n_tx),
-        "feed": (m, graph.n_scatterers, graph.n_tx),
-        "loop": (m, graph.n_scatterers, graph.n_scatterers),
-        "collect": (m, graph.n_rx, graph.n_scatterers),
-    }
-    blocks = {name: np.zeros(shape, dtype=complex) for name, shape in shapes.items()}
-    for edge in graph.edges:
-        blocks[_BLOCK_OF_CLASS[edge.edge_class]][:, edge.dst.index, edge.src.index] = (
-            edge.transfer_value(f)
-        )
-    for arr in blocks.values():
-        arr.setflags(write=False)
-    return BlockSamples(freqs=f, **blocks)
+    return f
+
+
+def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
+    """Evaluate all adjacency blocks of ``graph`` on a frequency axis.
+
+    Frequencies must be finite, and strictly positive whenever any edge
+    carries a frequency-dependent gain law.
+    """
+    f = _frequency_axis(graph, freqs)
+    stacks = graph._edge_table.stacks(f, ("direct", "feed", "loop", "collect"))
+    return BlockSamples(freqs=f, **{name: np.moveaxis(s, -1, 0) for name, s in stacks.items()})
+
+
+def _receiver_side_samples(graph: PropagationGraph, freqs) -> tuple[np.ndarray, np.ndarray]:
+    """The direct and collect blocks of :func:`block_samples` alone."""
+    stacks = graph._edge_table.stacks(_frequency_axis(graph, freqs), ("direct", "collect"))
+    return np.moveaxis(stacks["direct"], -1, 0), np.moveaxis(stacks["collect"], -1, 0)
 
 
 def adjacency_blocks(graph: PropagationGraph, freq_hz: float) -> AdjacencyBlocks:

@@ -42,7 +42,7 @@ from .graph import (
     scatterer,
     tx,
 )
-from .transfer import SpectralRadiusExceeded, verify_contraction
+from .transfer import SpectralRadiusExceeded, _flat_loop_contracts, verify_contraction
 
 if TYPE_CHECKING:
     from .synthesis import FrequencyGrid
@@ -66,8 +66,9 @@ __all__ = [
 DEFAULT_SPEED_OF_LIGHT = 3.0e8  # m/s
 
 # Number of uniformly spaced frequencies checked for contraction of the
-# scatterer loop before a realization is accepted.  Sampling re-verifies
-# every grid frequency later, so this is a cheap first gate.
+# scatterer loop before a realization is accepted, when the norm bound of a
+# frequency-flat loop does not settle it alone.  Sampling re-verifies every
+# grid frequency later, so this is a cheap first gate.
 VALIDATION_FREQUENCIES = 64
 
 
@@ -410,7 +411,14 @@ def _build_edges(
 
 
 def _loop_is_contractive(graph: PropagationGraph, freqs: np.ndarray) -> bool:
-    """Whether the scatterer loop block contracts at every frequency in ``freqs``."""
+    """Whether the scatterer loop block contracts at every frequency in ``freqs``.
+
+    A loop of frequency-flat gains (every generated loop) whose amplitude
+    norms certify it needs no block stack; any other loop is checked on
+    the blocks sampled at ``freqs``.
+    """
+    if _flat_loop_contracts(graph):
+        return True
     try:
         verify_contraction(block_samples(graph, freqs).loop, freqs)
     except SpectralRadiusExceeded:
@@ -430,9 +438,10 @@ def generate_realization(
 ) -> ScenarioRealization:
     """Draw scenario graphs until one passes the contraction check.
 
-    ``frequency_band`` is a frequency grid or a (f_min, f_max) pair; the
-    scatterer loop is validated on a uniform subgrid of that band (and
-    re-verified sample by sample when the graph is later sampled).  Each
+    ``frequency_band`` is a frequency grid or a (f_min, f_max) pair.  A
+    loop of frequency-flat gains is accepted on its amplitude norms alone
+    when they certify it; any other loop is validated on a uniform subgrid
+    of that band.  Sampling the graph later re-verifies its loop.  Each
     attempt redraws positions, edges, and phases from fresh streams.
     Raises :class:`RejectionLimitExceeded` once ``config.max_rejections``
     attempts have been rejected.

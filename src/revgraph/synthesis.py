@@ -29,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import PropagationGraph, VertexKind, block_samples
+from .graph import PropagationGraph, VertexKind, _receiver_side_samples, block_samples
 from .scenario import ScenarioConfig, ScenarioRealization, generate_realization, relocate_receiver
 from .transfer import (
     BounceRange,
-    PrecomputedKernel,
     SpectralRadiusExceededAt,
     TransferSample,
+    _graph_kernel,
     bounce_slices,
 )
 
@@ -200,7 +200,7 @@ def _sampled_slices(
     graph: PropagationGraph, grid: FrequencyGrid, bounce_ranges
 ) -> list[np.ndarray]:
     samples = block_samples(graph, grid.frequencies())
-    zt = PrecomputedKernel.from_loop_block(samples.loop, samples.freqs).solve(samples.feed)
+    zt = _graph_kernel(graph, samples.loop, samples.freqs).solve(samples.feed)
     return bounce_slices(samples.direct, samples.loop, samples.collect, zt, bounce_ranges)
 
 
@@ -422,22 +422,6 @@ def ensemble_spectrum(
     return spectrum
 
 
-def _receiver_blocks(graph: PropagationGraph, freqs: np.ndarray):
-    """Direct and collect blocks only; the scatterer-side blocks are reused."""
-    m = freqs.shape[0]
-    direct = np.zeros((m, graph.n_rx, graph.n_tx), dtype=complex)
-    collect = np.zeros((m, graph.n_rx, graph.n_scatterers), dtype=complex)
-    for edge in graph.edges:
-        if edge.dst.kind is not VertexKind.RX:
-            continue
-        values = edge.transfer_value(freqs)
-        if edge.src.kind is VertexKind.TX:
-            direct[:, edge.dst.index, edge.src.index] = values
-        else:
-            collect[:, edge.dst.index, edge.src.index] = values
-    return direct, collect
-
-
 def spatial_spectrum(
     realization,
     rx_positions,
@@ -463,7 +447,7 @@ def spatial_spectrum(
         raise LengthMismatch("window grid differs from the sampling grid")
     freqs = grid.frequencies()
     base = block_samples(graph, freqs)
-    zt = PrecomputedKernel.from_loop_block(base.loop, freqs).solve(base.feed)
+    zt = _graph_kernel(graph, base.loop, freqs).solve(base.feed)
     scatter_side = tuple(
         e for e in graph.edges if e.dst.kind is not VertexKind.RX
     )
@@ -483,7 +467,7 @@ def spatial_spectrum(
                 check.feed, base.feed
             ):
                 raise RuntimeError("receiver move altered the loop or feed block")
-        direct, collect = _receiver_blocks(moved, freqs)
+        direct, collect = _receiver_side_samples(moved, freqs)
         (tensor,) = bounce_slices(direct, base.loop, collect, zt, (BounceRange.full(),))
         y = _idft(tensor[:, rx_index, tx_index] * window.samples, grid)
         total += np.abs(y) ** 2

@@ -44,6 +44,8 @@ from revgraph.graph import (
     walk_sum,
 )
 from revgraph.scenario import ScenarioConfig, generate_realization
+from revgraph.synthesis import FrequencyGrid, sample_transfer
+from revgraph.transfer import PrecomputedKernel, _graph_kernel, transfer_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +236,78 @@ def test_block_samples_match_per_frequency_blocks():
         np.testing.assert_array_equal(batch.at(m).loop, single.loop)
         np.testing.assert_array_equal(batch.at(m).feed, single.feed)
         np.testing.assert_array_equal(batch.at(m).collect, single.collect)
+
+
+def test_block_samples_are_views_of_frequency_minor_storage():
+    # each edge's samples form one contiguous row of (rows, cols, m) storage
+    samples = block_samples(_example_mimo_graph(), np.linspace(1e9, 3e9, 7))
+    for name in ("direct", "feed", "loop", "collect"):
+        block = getattr(samples, name)
+        assert block.shape[0] == 7
+        assert np.moveaxis(block, 0, -1).flags.c_contiguous
+        assert not block.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_block_samples_reject_nonfinite_frequencies(bad):
+    flat_only = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=0,
+                                 edges=(_edge(tx(0), rx(0), gain=0.5, delay=4e-9),))
+    for graph in (flat_only, _example_mimo_graph()):
+        with pytest.raises(ValueError, match="finite"):
+            block_samples(graph, [2e9, bad])
+        with pytest.raises(ValueError, match="finite"):
+            adjacency_blocks(graph, bad)
+
+
+def test_self_loop_sits_on_the_diagonal_and_counts_towards_the_flat_bound():
+    edges = (
+        _edge(tx(0), scatterer(0), gain=0.4, delay=2e-9),
+        _edge(scatterer(0), scatterer(0), gain=0.7, phase=0.3, delay=1e-9),
+        _edge(scatterer(1), scatterer(0), gain=0.2, phase=1.1, delay=3e-9),
+        _edge(scatterer(0), rx(0), gain=0.5, delay=2e-9),
+    )
+    graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=2, edges=edges)
+    f = 2.4e9
+    loop = adjacency_blocks(graph, f).loop
+    assert loop[0, 0] == edges[1].transfer_value(f)
+    assert loop[0, 1] == edges[2].transfer_value(f)
+    assert not loop[1].any()
+    # column sums 0.7 and 0.2, row sums 0.9 and 0: the self-loop sets the bound
+    bound = graph._edge_table.loop_bound
+    assert 0.7 <= bound <= 0.7 * (1.0 + 1e-14)
+    samples = block_samples(graph, np.linspace(1e9, 3e9, 64))
+    moduli = np.abs(np.moveaxis(samples.loop, 0, -1))
+    assert moduli.sum(axis=0).max() <= bound
+
+
+def test_frequency_laws_leave_no_flat_bound():
+    # scatterer-to-scatterer edges under a frequency law have no frequency-free norm
+    graph = generate_realization(ScenarioConfig(seed=3), (2e9, 3e9)).graph
+    assert graph._edge_table.loop_bound is not None
+    law = FrequencyLawGain(EdgeClass.TX_SCATTER, mean_delay_s=1e-8, inv_sq_delay_sum=1e16)
+    edges = tuple(
+        Edge(e.src, e.dst, law, e.phase_rad, e.delay_s) if e.edge_class is EdgeClass.INTER_SCATTER
+        else e for e in graph.edges[:40]
+    )
+    mixed = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=graph.n_scatterers, edges=edges)
+    assert any(e.edge_class is EdgeClass.INTER_SCATTER for e in edges)
+    assert mixed._edge_table.loop_bound is None
+
+
+def test_stack_solves_equal_single_frequency_solves_bitwise():
+    grid = FrequencyGrid(2e9, 3e9, 64)
+    generated = generate_realization(ScenarioConfig(seed=5), grid).graph
+    for graph in (_example_mimo_graph(), generated):
+        freqs = grid.frequencies()
+        samples = block_samples(graph, freqs)
+        stacked = PrecomputedKernel.from_loop_block(samples.loop, freqs).solve(samples.feed)
+        certified = _graph_kernel(graph, samples.loop, freqs).solve(samples.feed)
+        np.testing.assert_array_equal(certified, stacked)
+        tensor = sample_transfer(graph, grid).tensor
+        for m in range(grid.n_samples):
+            single = PrecomputedKernel.from_loop_block(samples.loop[m], freqs[m])
+            np.testing.assert_array_equal(stacked[m], single.solve(samples.feed[m]))
+            np.testing.assert_array_equal(tensor[m], transfer_matrix(graph, freqs[m]).matrix)
 
 
 # -- reversal ---------------------------------------------------------------------

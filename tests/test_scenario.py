@@ -29,6 +29,7 @@ from revgraph.graph import (
     EdgeClass,
     VertexKind,
     adjacency_blocks,
+    block_samples,
     rx,
     scatterer,
     tx,
@@ -47,7 +48,12 @@ from revgraph.scenario import (
     realization_to_json,
     relocate_receiver,
 )
-from revgraph.transfer import spectral_radius, transfer_matrix
+from revgraph.transfer import (
+    SpectralRadiusExceeded,
+    spectral_radius,
+    transfer_matrix,
+    verify_contraction,
+)
 
 BAND = (2.0e9, 3.0e9)
 
@@ -337,6 +343,33 @@ def test_rejection_limit_raises(monkeypatch):
     with pytest.raises(RejectionLimitExceeded) as info:
         generate_realization(config, BAND)
     assert "7" in str(info.value)
+
+
+def test_acceptance_builds_no_block_stack_and_agrees_with_the_stack_check(monkeypatch):
+    checked = []
+    honest = revgraph.scenario._loop_is_contractive
+
+    def record(graph, freqs):
+        verdict = honest(graph, freqs)
+        checked.append((graph, freqs, verdict))
+        return verdict
+
+    def no_stack(graph, freqs):
+        raise AssertionError("acceptance assembled a block stack")
+
+    monkeypatch.setattr(revgraph.scenario, "_loop_is_contractive", record)
+    monkeypatch.setattr(revgraph.scenario, "block_samples", no_stack)
+    for seed in range(50):
+        _default_realization(seed)
+    monkeypatch.undo()
+    assert len(checked) >= 50
+    for graph, freqs, verdict in checked:
+        try:
+            verify_contraction(block_samples(graph, freqs).loop, freqs)
+        except SpectralRadiusExceeded:
+            assert not verdict
+        else:
+            assert verdict
 
 
 def test_band_must_be_ordered():

@@ -29,17 +29,23 @@ from revgraph.graph import (
     EdgeClass,
     PropagationGraph,
     adjacency_blocks,
+    block_samples,
     rx,
     scatterer,
     tx,
     walk_sum,
 )
+from revgraph.scenario import ScenarioConfig, _loop_is_contractive, generate_realization
+from revgraph.synthesis import FrequencyGrid, sample_transfer
 from revgraph.transfer import (
     BounceRange,
     NumericalFailure,
     PrecomputedKernel,
     SPECTRAL_RADIUS_LIMIT,
     SpectralRadiusExceeded,
+    SpectralRadiusExceededAt,
+    _flat_loop_contracts,
+    _graph_kernel,
     k_bounce_matrix,
     make_kernel,
     partial_transfer_matrix,
@@ -47,6 +53,7 @@ from revgraph.transfer import (
     spectral_radius,
     transfer_matrix,
     truncation_error,
+    verify_contraction,
 )
 
 PROBE_HZ = 2.4e9
@@ -162,6 +169,80 @@ def test_kernel_reports_a_nan_loop_as_numerical_failure():
     # a NaN loop passes no norm bound and fails none, so the eigensolver must see it
     with pytest.raises(NumericalFailure):
         PrecomputedKernel.from_loop_block(np.full((2, 2), np.nan), PROBE_HZ)
+
+
+def _count_lapack_solves(monkeypatch) -> list:
+    calls = []
+    honest = np.linalg.solve
+
+    def spy(a, b):
+        calls.append(np.shape(a))
+        return honest(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return calls
+
+
+def test_loop_certified_only_by_eigenvalues_goes_to_the_pivoted_solve(monkeypatch):
+    # norms of 3 certify nothing, yet the eigenvalues are +-0.17
+    loop = np.array([[0.0, 3.0], [0.01, 0.0]])
+    calls = _count_lapack_solves(monkeypatch)
+    rng = np.random.default_rng(2)
+    rhs = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    z = PrecomputedKernel.from_loop_block(loop, PROBE_HZ).solve(rhs)
+    assert len(calls) == 1
+    residual = np.linalg.norm((np.eye(2) - loop) @ z - rhs) / np.linalg.norm(rhs)
+    assert residual < 1e-12
+    # in a stack only that sample takes the pivoted route
+    stack = np.stack([0.1 * loop.T, loop, np.zeros((2, 2))])
+    rhs3 = np.broadcast_to(rhs, (3, 2, 3))
+    z3 = PrecomputedKernel.from_loop_block(stack, [1e9, 2e9, 3e9]).solve(rhs3)
+    assert calls[1] == (1, 2, 2)
+    for m in range(3):
+        residual = np.linalg.norm((np.eye(2) - stack[m]) @ z3[m] - rhs) / np.linalg.norm(rhs)
+        assert residual < 1e-12
+
+
+def test_default_realization_needs_no_lapack_solve(monkeypatch):
+    grid = FrequencyGrid(2e9, 3e9, 256)
+    graph = generate_realization(ScenarioConfig(seed=4), grid).graph
+    calls = _count_lapack_solves(monkeypatch)
+    sample_transfer(graph, grid)
+    transfer_matrix(graph, 2.5e9)
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_flat_and_per_sample_certificates_agree_at_the_limit(side):
+    # a lone self-loop has spectral radius equal to its gain
+    gain = SPECTRAL_RADIUS_LIMIT + side * 1e-12
+    edges = (_edge(tx(0), scatterer(0), 0.5, 0.1, 2e-9),
+             _edge(scatterer(0), scatterer(0), gain, 0.7, 1e-9),
+             _edge(scatterer(0), rx(0), 0.5, 0.2, 3e-9))
+    graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=1, edges=edges)
+    freqs = np.linspace(2e9, 3e9, 64)
+    loop = np.array(block_samples(graph, freqs).loop)
+    contracts = side < 0
+    assert _flat_loop_contracts(graph) is contracts
+    assert _loop_is_contractive(graph, freqs) is contracts
+    if contracts:
+        verify_contraction(loop, freqs)
+        _graph_kernel(graph, loop, freqs)
+    else:
+        for check in (lambda: verify_contraction(loop, freqs),
+                      lambda: _graph_kernel(graph, loop, freqs)):
+            with pytest.raises(SpectralRadiusExceededAt) as info:
+                check()
+            assert info.value.sample_index == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_frequencies_are_rejected(bad):
+    direct_only = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=0,
+                                   edges=(_edge(tx(0), rx(0), 0.5, 0.3, 4e-9),))
+    for graph in (direct_only, _toy(1)):
+        with pytest.raises(ValueError, match="finite"):
+            transfer_matrix(graph, bad)
 
 
 # -- closed forms -------------------------------------------------------------
