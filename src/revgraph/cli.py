@@ -24,9 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -62,6 +64,7 @@ __all__ = [
     "load_config",
     "dump_config",
     "default_spec",
+    "config_schema",
     "run",
     "main",
 ]
@@ -107,12 +110,12 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one invocation needs: scenario, grids, mode, and knobs."""
+    """Everything one invocation needs; the defaults are what an empty config file gives."""
 
-    scenario: ScenarioConfig
-    grids: tuple[FrequencyGrid, ...]
-    mode: Mode
-    out_dir: Path | None
+    scenario: ScenarioConfig = ScenarioConfig()
+    grids: tuple[FrequencyGrid, ...] = DEFAULT_GRIDS
+    mode: Mode = Mode.RESPONSE
+    out_dir: Path | None = None
     n_runs: int = DEFAULT_RUNS
     k_max: int = DEFAULT_KMAX
     spatial_points: int = DEFAULT_SPATIAL_POINTS
@@ -120,44 +123,229 @@ class ExperimentSpec:
     fit_window_ns: tuple[float, float] = DEFAULT_FIT_WINDOW_NS
 
     def __post_init__(self) -> None:
-        if not self.grids:
-            raise ValidationError("grids", "need at least one frequency grid")
-        if self.n_runs < 1:
-            raise ValidationError("runs", "must be >= 1")
-        if self.k_max < 0:
-            raise ValidationError("kmax", "must be >= 0")
-        if self.spatial_points < 1:
-            raise ValidationError("spatial_points", "must be >= 1")
-        if self.spatial_mesh_m <= 0:
-            raise ValidationError("spatial_mesh_m", "must be > 0")
-        lo, hi = self.fit_window_ns
-        if not lo < hi:
-            raise ValidationError("fit_window_ns", "must be an increasing pair")
+        for f in _SPEC_FIELDS:
+            f.check(getattr(self, f.attr))
 
 
 # -- Config documents ---------------------------------------------------------------
+#
+# One table describes every config field.  It drives load_config, the command-line
+# flags, spec_to_document, the checks of ExperimentSpec and config_schema().
 
-_KNOWN_FIELDS = {
-    "room",
-    "tx",
-    "rx",
-    "n_scatterers",
-    "p_vis",
-    "p_dir",
-    "tail_slope_db_per_ns",
-    "inter_scatterer_gain",
-    "speed_of_light",
-    "seed",
-    "max_rejections",
-    "grids",
-    "runs",
-    "kmax",
-    "spatial_points",
-    "spatial_mesh_m",
-    "fit_window_ns",
-    "mode",
-    "out",
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _array(value, shape: str, length: int | None = None) -> list:
+    """A nonempty array, of exactly ``length`` entries when given."""
+    if not isinstance(value, (list, tuple)) or not value or (
+        length is not None and len(value) != length
+    ):
+        raise ValueError(f"expected {shape}, got {value!r}")
+    return value
+
+
+def _numbers(value, shape: str, length: int) -> tuple[float, ...]:
+    return tuple(_number(v) for v in _array(value, shape, length))
+
+
+def _pair(value) -> tuple[float, float]:
+    low, high = _numbers(value, "[low, high]", 2)
+    if not low < high:
+        raise ValueError(f"expected low < high, got [{low:g}, {high:g}]")
+    return low, high
+
+
+def _points(value) -> tuple[tuple[float, ...], ...]:
+    return tuple(_numbers(p, "[x, y, z]", 3) for p in _array(value, "a list of [x, y, z] points"))
+
+
+def _room(value) -> Box:
+    return Box(tuple(_pair(pair) for pair in _array(value, "three [low, high] pairs", 3)))
+
+
+def _grids(value) -> tuple[FrequencyGrid, ...]:
+    grids = []
+    for entry in _array(value, "a list of [f_min, f_max, M]"):
+        f_min, f_max, m = _array(entry, "[f_min, f_max, M]", 3)
+        grids.append(FrequencyGrid(_number(f_min), _number(f_max), _integer(m)))
+    return tuple(grids)
+
+
+def _mode(value) -> Mode:
+    names = [m.value for m in Mode]
+    if value not in names:
+        raise ValueError(f"expected one of: {', '.join(names)}")
+    return Mode(value)
+
+
+def _path(value) -> Path:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a path string, got {value!r}")
+    return Path(value)
+
+
+def _lists(rows) -> list:
+    return [list(row) for row in rows]
+
+
+def _unchanged(value):
+    return value
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one kind of field is read from JSON, checked, written back and described."""
+
+    schema: dict
+    parse: Callable  # JSON value -> attribute value; raises ValueError
+    dump: Callable = _unchanged  # attribute value -> JSON value
+    # Raises ValueError for a bad attribute value, so ExperimentSpec can run it too.
+    check: Callable = _unchanged
+
+
+def _array_schema(items, length: int | None = None) -> dict:
+    if length is None:
+        return {"type": "array", "minItems": 1, "items": items}
+    return {"type": "array", "minItems": length, "maxItems": length, "items": items}
+
+
+_INTEGER = _Kind({"type": "integer"}, _integer)
+_NUMBER = _Kind({"type": "number"}, _number, check=_number)
+_PAIR = _Kind(_array_schema({"type": "number"}, 2), _pair, dump=list, check=_pair)
+_POINTS = _Kind(_array_schema(_array_schema({"type": "number"}, 3)), _points, dump=_lists)
+_ROOM = _Kind(_array_schema(_PAIR.schema, 3), _room, dump=lambda box: _lists(box.bounds))
+_GRIDS = _Kind(
+    _array_schema(_array_schema(
+        [{"type": "number", "exclusiveMinimum": 0}] * 2 + [{"type": "integer", "minimum": 2}], 3
+    )),
+    _grids,
+    dump=lambda grids: [[g.f_min_hz, g.f_max_hz, g.n_samples] for g in grids],
+    check=lambda grids: _array(grids, "at least one frequency grid"),
+)
+_MODE = _Kind({"type": "string", "enum": [m.value for m in Mode]}, _mode, dump=lambda m: m.value)
+_PATH = _Kind({"type": "string"}, _path, dump=str)
+
+# JSON Schema bound keyword: (test a value must pass, its symbol, its interval bracket)
+_BOUND_TESTS = {
+    "minimum": (operator.ge, ">=", "["),
+    "exclusiveMinimum": (operator.gt, ">", "("),
+    "maximum": (operator.le, "<=", "]"),
+    "exclusiveMaximum": (operator.lt, "<", ")"),
 }
+
+
+def _check_bounds(value, bounds: dict) -> None:
+    if all(_BOUND_TESTS[key][0](value, bound) for key, bound in bounds.items()):
+        return
+    if len(bounds) == 1:
+        ((key, bound),) = bounds.items()
+        raise ValueError(f"must be {_BOUND_TESTS[key][1]} {bound:g}")
+    (low_key, low), (high_key, high) = bounds.items()
+    raise ValueError(f"not in {_BOUND_TESTS[low_key][2]}{low:g},{high:g}{_BOUND_TESTS[high_key][2]}")
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One config field: document key, kind, target attribute, description and bounds."""
+
+    name: str
+    kind: _Kind
+    attr: str  # on ScenarioConfig or ExperimentSpec, as the table holding the field says
+    description: str
+    bounds: dict = field(default_factory=dict)  # JSON Schema keywords, lower bound first
+    nullable: bool = False
+
+    def parse(self, raw):
+        """The attribute value a document entry gives."""
+        return self.check(raw, self.kind.parse)
+
+    def check(self, value, parse=_unchanged):
+        """``parse(value)``, checked by the kind and the bounds; ValueErrors name this field."""
+        if value is None and self.nullable:
+            return None
+        try:
+            value = parse(value)
+            self.kind.check(value)
+            _check_bounds(value, self.bounds)
+        except ValueError as exc:  # includes what Box and FrequencyGrid reject
+            raise ValidationError(self.name, str(exc)) from exc
+        return value
+
+    def dump(self, value):
+        return None if value is None else self.kind.dump(value)
+
+    def schema(self, default) -> dict:
+        kind = dict(self.kind.schema)
+        if self.nullable:
+            kind["type"] = [kind["type"], "null"]
+        return {"description": self.description, **kind, **self.bounds, "default": default}
+
+
+_UNIT_INTERVAL = {"minimum": 0, "maximum": 1}
+
+# In spec_to_document key order: ScenarioConfig attributes, then ExperimentSpec ones.
+_SCENARIO_FIELDS = (
+    _Field("room", _ROOM, "region",
+           "Axis-aligned room as [[x_lo, x_hi], [y_lo, y_hi], [z_lo, z_hi]] in meters."),
+    _Field("tx", _POINTS, "tx_positions",
+           "Transmitter positions, list of [x, y, z] in meters inside the room."),
+    _Field("rx", _POINTS, "rx_positions", "Receiver positions, same shape as tx."),
+    _Field("n_scatterers", _INTEGER, "n_scatterers",
+           "Number of point scatterers placed uniformly in the room.", {"minimum": 0}),
+    _Field("p_vis", _NUMBER, "p_visibility",
+           "Visibility probability for every non-direct vertex pair.", _UNIT_INTERVAL),
+    _Field("p_dir", _NUMBER, "p_direct",
+           "Probability of each direct transmitter-receiver link.", _UNIT_INTERVAL),
+    _Field("tail_slope_db_per_ns", _NUMBER, "tail_slope_db_per_ns",
+           "Target tail slope of the delay-power spectrum; the shared inter-scatterer gain "
+           "is derived from it per realization as g = 10^(slope * mean_delay / 20). With "
+           "the g / out_degree split the realised tail slope is steeper: about -0.95 dB/ns "
+           "for the default target (acceptance criterion 5). Negative, or null when "
+           "inter_scatterer_gain is given.",
+           {"exclusiveMaximum": 0}, nullable=True),
+    _Field("inter_scatterer_gain", _NUMBER, "inter_scatterer_gain",
+           "Fixed shared inter-scatterer gain g in (0, 1), split per edge as "
+           "g / out_degree. Mutually exclusive with tail_slope_db_per_ns.",
+           {"exclusiveMinimum": 0, "exclusiveMaximum": 1}, nullable=True),
+    _Field("speed_of_light", _NUMBER, "speed_of_light",
+           "Propagation speed in m/s used to turn distances into delays.",
+           {"exclusiveMinimum": 0}),
+    _Field("seed", _INTEGER, "seed", "Base seed; run i of an ensemble uses seed + i."),
+    _Field("max_rejections", _INTEGER, "max_rejections",
+           "Attempt budget for the draw/reject loop.", {"minimum": 1}),
+)
+_SPEC_FIELDS = (
+    _Field("grids", _GRIDS, "grids",
+           "Frequency grids as [f_min_hz, f_max_hz, n_samples] triples, band edges inclusive."),
+    _Field("runs", _INTEGER, "n_runs", "Ensemble size for the ensemble mode.", {"minimum": 1}),
+    _Field("kmax", _INTEGER, "k_max",
+           "Largest bounce order dissected by the dissect mode.", {"minimum": 0}),
+    _Field("spatial_points", _INTEGER, "spatial_points",
+           "Receiver mesh points per side for the spatial mode (the mesh has "
+           "spatial_points^2 positions).", {"minimum": 1}),
+    _Field("spatial_mesh_m", _NUMBER, "spatial_mesh_m",
+           "Receiver mesh spacing in meters.", {"exclusiveMinimum": 0}),
+    _Field("fit_window_ns", _PAIR, "fit_window_ns",
+           "Increasing delay window [start, stop] in nanoseconds for tail-slope fits."),
+    _Field("mode", _MODE, "mode",
+           "Experiment to run; the command-line subcommand replaces it."),
+    _Field("out", _PATH, "out_dir",
+           "Output directory; required by the file-producing modes.", nullable=True),
+)
+_FIELDS = _SCENARIO_FIELDS + _SPEC_FIELDS
+_KNOWN_FIELDS = frozenset(f.name for f in _FIELDS)
 
 
 def _find_line(text: str, key: str) -> int:
@@ -168,80 +356,8 @@ def _find_line(text: str, key: str) -> int:
     return 1
 
 
-def _require_number(doc: dict, key: str):
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(key, f"expected a number, got {value!r}")
-    return value
-
-
-def _require_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(key, f"expected an integer, got {value!r}")
-    return value
-
-
-def _require_probability(doc: dict, key: str) -> float:
-    value = float(_require_number(doc, key))
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(key, "not in [0,1]")
-    return value
-
-
-def _numbers(key: str, values) -> tuple[float, ...]:
-    for c in values:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ValidationError(key, f"entry {c!r} is not a number")
-    return tuple(float(c) for c in values)
-
-
-def _parse_point(key: str, value) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValidationError(key, f"expected [x, y, z], got {value!r}")
-    return _numbers(key, value)
-
-
-def _parse_points(doc: dict, key: str) -> tuple[tuple[float, float, float], ...]:
-    value = doc[key]
-    if not isinstance(value, list) or not value:
-        raise ValidationError(key, "expected a nonempty list of [x, y, z] points")
-    return tuple(_parse_point(key, p) for p in value)
-
-
-def _parse_room(doc: dict) -> Box:
-    value = doc["room"]
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValidationError("room", "expected three [low, high] pairs")
-    bounds = []
-    for pair in value:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValidationError("room", f"expected [low, high], got {pair!r}")
-        lo, hi = _numbers("room", pair)
-        if not lo < hi:
-            raise ValidationError("room", f"degenerate extent [{lo}, {hi}]")
-        bounds.append((lo, hi))
-    return Box(tuple(bounds))
-
-
-def _parse_grid(entry) -> FrequencyGrid:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-        raise ValidationError("grids", f"expected [f_min, f_max, M], got {entry!r}")
-    f_min, f_max, m = entry
-    for v in (f_min, f_max):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError("grids", f"frequency {v!r} is not a number")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValidationError("grids", f"sample count {m!r} is not an integer")
-    try:
-        return FrequencyGrid(float(f_min), float(f_max), m)
-    except ValueError as exc:
-        raise ValidationError("grids", str(exc)) from exc
-
-
-def load_config(path) -> ExperimentSpec:
-    """Parse and validate a JSON config file; missing fields take defaults."""
-    text = Path(path).read_text()
+def _parse_document(text: str) -> dict:
+    """The JSON object in a config file's text; every key must be a known field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -251,153 +367,70 @@ def load_config(path) -> ExperimentSpec:
     for key in doc:
         if key not in _KNOWN_FIELDS:
             raise ParseError(_find_line(text, key), key, "unknown field")
-    return _spec_from_document(doc)
+    return doc
+
+
+def load_config(path) -> ExperimentSpec:
+    """Parse and validate a JSON config file; missing fields take defaults."""
+    return _spec_from_document(_parse_document(Path(path).read_text()))
+
+
+def _parse_fields(fields, doc: dict) -> dict:
+    return {f.attr: f.parse(doc[f.name]) for f in fields if f.name in doc}
 
 
 def _spec_from_document(doc: dict) -> ExperimentSpec:
-    defaults = ScenarioConfig()
-    kwargs: dict = {}
-    if "room" in doc:
-        kwargs["region"] = _parse_room(doc)
-    if "tx" in doc:
-        kwargs["tx_positions"] = _parse_points(doc, "tx")
-    if "rx" in doc:
-        kwargs["rx_positions"] = _parse_points(doc, "rx")
-    if "n_scatterers" in doc:
-        n = _require_int(doc, "n_scatterers")
-        if n < 0:
-            raise ValidationError("n_scatterers", "must be >= 0")
-        kwargs["n_scatterers"] = n
-    if "p_vis" in doc:
-        kwargs["p_visibility"] = _require_probability(doc, "p_vis")
-    if "p_dir" in doc:
-        kwargs["p_direct"] = _require_probability(doc, "p_dir")
-
-    slope = doc.get("tail_slope_db_per_ns")
-    gain = doc.get("inter_scatterer_gain")
+    scenario = _parse_fields(_SCENARIO_FIELDS, doc)
+    slope = scenario.get("tail_slope_db_per_ns")
+    gain = scenario.get("inter_scatterer_gain")
     if slope is not None and gain is not None:
-        raise ValidationError(
-            "inter_scatterer_gain",
-            "give either tail_slope_db_per_ns or inter_scatterer_gain, not both",
-        )
-    if "tail_slope_db_per_ns" in doc and slope is not None:
-        if isinstance(slope, bool) or not isinstance(slope, (int, float)):
-            raise ValidationError("tail_slope_db_per_ns", f"expected a number, got {slope!r}")
-        if not slope < 0:
-            raise ValidationError("tail_slope_db_per_ns", "must be negative")
-        kwargs["tail_slope_db_per_ns"] = float(slope)
-        kwargs["inter_scatterer_gain"] = None
+        raise ValidationError("inter_scatterer_gain",
+                              "give either tail_slope_db_per_ns or inter_scatterer_gain, not both")
     if gain is not None:
-        if isinstance(gain, bool) or not isinstance(gain, (int, float)):
-            raise ValidationError("inter_scatterer_gain", f"expected a number, got {gain!r}")
-        if not 0.0 < gain < 1.0:
-            raise ValidationError("inter_scatterer_gain", "not in (0,1)")
-        kwargs["inter_scatterer_gain"] = float(gain)
-        kwargs["tail_slope_db_per_ns"] = None
-    if "tail_slope_db_per_ns" in doc and slope is None and gain is None:
-        raise ValidationError(
-            "tail_slope_db_per_ns",
-            "cannot be null unless inter_scatterer_gain is given",
-        )
-
-    if "speed_of_light" in doc:
-        c = float(_require_number(doc, "speed_of_light"))
-        if c <= 0:
-            raise ValidationError("speed_of_light", "must be > 0")
-        kwargs["speed_of_light"] = c
-    if "seed" in doc:
-        kwargs["seed"] = _require_int(doc, "seed")
-    if "max_rejections" in doc:
-        limit = _require_int(doc, "max_rejections")
-        if limit < 1:
-            raise ValidationError("max_rejections", "must be >= 1")
-        kwargs["max_rejections"] = limit
-
+        scenario["tail_slope_db_per_ns"] = None
+    elif "tail_slope_db_per_ns" in scenario and slope is None:
+        raise ValidationError("tail_slope_db_per_ns",
+                              "cannot be null unless inter_scatterer_gain is given")
     try:
-        scenario = replace(defaults, **kwargs)
+        scenario = ScenarioConfig(**scenario)
     except ValueError as exc:
         raise ValidationError("scenario", str(exc)) from exc
-
-    if "grids" in doc:
-        raw = doc["grids"]
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("grids", "expected a nonempty list of [f_min, f_max, M]")
-        grids = tuple(_parse_grid(entry) for entry in raw)
-    else:
-        grids = DEFAULT_GRIDS
-
-    mode = Mode.RESPONSE
-    if "mode" in doc:
-        try:
-            mode = Mode(doc["mode"])
-        except ValueError:
-            names = ", ".join(m.value for m in Mode)
-            raise ValidationError("mode", f"expected one of: {names}") from None
-
-    out_dir = None
-    if "out" in doc and doc["out"] is not None:
-        if not isinstance(doc["out"], str):
-            raise ValidationError("out", f"expected a path string, got {doc['out']!r}")
-        out_dir = Path(doc["out"])
-
-    n_runs = _require_int(doc, "runs") if "runs" in doc else DEFAULT_RUNS
-    k_max = _require_int(doc, "kmax") if "kmax" in doc else DEFAULT_KMAX
-    points = _require_int(doc, "spatial_points") if "spatial_points" in doc else DEFAULT_SPATIAL_POINTS
-    mesh = float(_require_number(doc, "spatial_mesh_m")) if "spatial_mesh_m" in doc else DEFAULT_SPATIAL_MESH_M
-    if "fit_window_ns" in doc:
-        pair = doc["fit_window_ns"]
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValidationError("fit_window_ns", f"expected [start, stop], got {pair!r}")
-        fit_window = _numbers("fit_window_ns", pair)
-    else:
-        fit_window = DEFAULT_FIT_WINDOW_NS
-
-    return ExperimentSpec(
-        scenario=scenario,
-        grids=grids,
-        mode=mode,
-        out_dir=out_dir,
-        n_runs=n_runs,
-        k_max=k_max,
-        spatial_points=points,
-        spatial_mesh_m=mesh,
-        fit_window_ns=fit_window,
-    )
+    return ExperimentSpec(scenario, **_parse_fields(_SPEC_FIELDS, doc))
 
 
 def default_spec() -> ExperimentSpec:
     """The spec an empty config file produces."""
-    return _spec_from_document({})
+    return ExperimentSpec()
 
 
 def spec_to_document(spec: ExperimentSpec) -> dict:
     """Full JSON document for a spec; load_config inverts it exactly."""
-    s = spec.scenario
-    return {
-        "room": [list(pair) for pair in s.region.bounds],
-        "tx": [list(p) for p in s.tx_positions],
-        "rx": [list(p) for p in s.rx_positions],
-        "n_scatterers": s.n_scatterers,
-        "p_vis": s.p_visibility,
-        "p_dir": s.p_direct,
-        "tail_slope_db_per_ns": s.tail_slope_db_per_ns,
-        "inter_scatterer_gain": s.inter_scatterer_gain,
-        "speed_of_light": s.speed_of_light,
-        "seed": s.seed,
-        "max_rejections": s.max_rejections,
-        "grids": [[g.f_min_hz, g.f_max_hz, g.n_samples] for g in spec.grids],
-        "runs": spec.n_runs,
-        "kmax": spec.k_max,
-        "spatial_points": spec.spatial_points,
-        "spatial_mesh_m": spec.spatial_mesh_m,
-        "fit_window_ns": list(spec.fit_window_ns),
-        "mode": spec.mode.value,
-        "out": None if spec.out_dir is None else str(spec.out_dir),
-    }
+    doc = {f.name: f.dump(getattr(spec.scenario, f.attr)) for f in _SCENARIO_FIELDS}
+    doc.update((f.name, f.dump(getattr(spec, f.attr))) for f in _SPEC_FIELDS)
+    return doc
 
 
 def dump_config(spec: ExperimentSpec, path) -> None:
     Path(path).write_text(json.dumps(spec_to_document(spec), indent=2) + "\n")
+
+
+def config_schema() -> dict:
+    """JSON schema of a config document; docs/config.schema.json holds its dump."""
+    defaults = spec_to_document(ExperimentSpec())
+    return {
+        "$schema": "http://json-schema.org/draft-07/schema#",
+        "$id": "https://example.invalid/revgraph/config.schema.json",
+        "title": "revgraph experiment configuration",
+        "description": (
+            "Every field is optional; omitted fields take the documented defaults (an "
+            "empty object {} is the reference office scenario). Give exactly one of "
+            "tail_slope_db_per_ns and inter_scatterer_gain: a non-null slope requires a "
+            "null/omitted gain and vice versa."
+        ),
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {f.name: f.schema(defaults[f.name]) for f in _FIELDS},
+    }
 
 
 # -- Experiment execution ---------------------------------------------------------------
@@ -757,14 +790,18 @@ def run(spec: ExperimentSpec) -> int:
 # -- Argument handling ---------------------------------------------------------------
 
 
-def _parse_grid_flag(value: str) -> FrequencyGrid:
-    parts = value.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected fmin,fmax,M, got {value!r}")
-    try:
-        return FrequencyGrid(float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _flag_value(text: str):
+    """The number a flag value spells, else the text, for the field table to judge."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _grid_flag(text: str) -> list:
+    return [_flag_value(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -772,53 +809,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="revgraph",
         description="Reverberant radio channels simulated on propagation graphs.",
     )
+    # Every dest except config is a config field; main merges them into the document.
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in Mode:
         p = sub.add_parser(mode.value, help=f"{mode.value} experiment")
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--runs", type=int, default=None, help="override the ensemble run count")
+        p.add_argument("--config", type=Path, help="JSON config file")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--seed", type=_flag_value, help="override the scenario seed")
+        p.add_argument("--runs", type=_flag_value, help="override the ensemble run count")
         p.add_argument(
             "--grid",
-            type=_parse_grid_flag,
+            dest="grids",
+            type=_grid_flag,
             action="append",
-            default=None,
             metavar="FMIN,FMAX,M",
             help="override the frequency grids (repeatable)",
         )
-        p.add_argument("--kmax", type=int, default=None, help="override the dissection depth")
+        p.add_argument("--kmax", type=_flag_value, help="override the dissection depth")
     return parser
-
-
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    changes: dict = {"mode": Mode(args.mode)}
-    if args.out is not None:
-        changes["out_dir"] = args.out
-    if args.seed is not None:
-        changes["scenario"] = replace(spec.scenario, seed=args.seed)
-    if args.runs is not None:
-        changes["n_runs"] = args.runs
-    if args.grid:
-        changes["grids"] = tuple(args.grid)
-    if args.kmax is not None:
-        changes["k_max"] = args.kmax
-    return replace(spec, **changes)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k in _KNOWN_FIELDS and v is not None}
     try:
-        spec = load_config(args.config) if args.config is not None else default_spec()
-        spec = _apply_overrides(spec, args)
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        text = None if args.config is None else args.config.read_text()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(spec)
+        doc = {} if text is None else _parse_document(text)
+        _spec_from_document(doc)  # the file must be valid before flags replace its values
+        return run(_spec_from_document({**doc, **flags}))
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

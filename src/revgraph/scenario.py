@@ -172,12 +172,12 @@ class ScenarioConfig:
             raise ValueError(
                 "exactly one of tail_slope_db_per_ns and inter_scatterer_gain must be set"
             )
-        if has_slope and self.tail_slope_db_per_ns >= 0.0:
-            raise ValueError("tail slope must be negative (a decaying tail)")
+        if has_slope and not -math.inf < self.tail_slope_db_per_ns < 0.0:
+            raise ValueError("tail slope must be finite and negative (a decaying tail)")
         if has_gain and not 0.0 < self.inter_scatterer_gain < 1.0:
             raise ValueError("inter_scatterer_gain must lie in (0, 1)")
-        if self.speed_of_light <= 0.0:
-            raise ValueError("speed_of_light must be positive")
+        if not 0.0 < self.speed_of_light < math.inf:
+            raise ValueError("speed_of_light must be finite and positive")
         if self.max_rejections < 1:
             raise ValueError("max_rejections must be >= 1")
 

@@ -90,9 +90,9 @@ class FrequencyGrid:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.f_min_hz < self.f_max_hz:
+        if not 0.0 < self.f_min_hz < self.f_max_hz < math.inf:
             raise ValueError(
-                f"need 0 < f_min < f_max, got ({self.f_min_hz}, {self.f_max_hz})"
+                f"need 0 < f_min < f_max < inf, got ({self.f_min_hz}, {self.f_max_hz})"
             )
         if self.n_samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.n_samples}")

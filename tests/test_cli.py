@@ -7,6 +7,7 @@ the determinism claim, compared byte for byte across reruns.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from revgraph.cli import (
     Mode,
     ParseError,
     ValidationError,
+    config_schema,
     default_spec,
     dump_config,
     load_config,
@@ -103,9 +105,15 @@ def test_probability_out_of_range(tmp_path):
         {"room": [[0, 5], [0, 5], [True, 2.6]]},
         {"room": [[0, "x"], [0, 5], [0, 2.6]]},
         {"room": [[0, 5], [None, 5], [0, 2.6]]},
+        {"speed_of_light": math.inf},
+        {"tail_slope_db_per_ns": -math.inf},
+        {"fit_window_ns": [40, math.inf]},
+        {"spatial_mesh_m": math.nan},
+        {"grids": [[1e9, math.inf, 8]]},
     ],
     ids=["seed-true", "fit_window-true", "fit_window-string", "fit_window-null",
-         "room-true", "room-string", "room-null"],
+         "room-true", "room-string", "room-null", "speed_of_light-inf",
+         "tail_slope-minus-inf", "fit_window-inf", "spatial_mesh-nan", "grids-inf"],
 )
 def test_booleans_are_not_numbers(tmp_path, doc):
     path = _write(tmp_path, "b.json", doc)
@@ -161,18 +169,38 @@ def test_config_round_trips_through_dump(tmp_path):
         "rx": [[5.0, 3.0, 1.5]],
         "n_scatterers": 7,
         "p_vis": 0.6,
+        "p_dir": 0.5,
         "inter_scatterer_gain": 0.55,
         "tail_slope_db_per_ns": None,
+        "speed_of_light": 2.9e8,
         "seed": 11,
+        "max_rejections": 50,
         "grids": [[2e9, 3e9, 128]],
         "runs": 12,
+        "kmax": 2,
+        "spatial_points": 5,
+        "spatial_mesh_m": 0.02,
+        "fit_window_ns": [30.0, 90.0],
         "mode": "ensemble",
         "out": "results",
     }
+    defaults = spec_to_document(default_spec())
+    assert set(doc) == _KNOWN_FIELDS
+    assert all(doc[key] != defaults[key] for key in doc)  # every field is exercised
     first = load_config(_write(tmp_path, "a.json", doc))
+    assert spec_to_document(first) == doc
     dump_config(first, tmp_path / "b.json")
     second = load_config(tmp_path / "b.json")
     assert first == second
+
+
+def test_committed_schema_is_generated_from_the_field_table():
+    committed = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
+    assert committed.read_text() == json.dumps(config_schema(), indent=2) + "\n", (
+        "docs/config.schema.json is stale; regenerate it with: PYTHONPATH=src python -c "
+        "'import json; from revgraph.cli import config_schema; "
+        "print(json.dumps(config_schema(), indent=2))' > docs/config.schema.json"
+    )
 
 
 def test_document_fields_match_the_accepted_set():
@@ -407,6 +435,41 @@ def test_config_errors_exit_two(tmp_path, capsys):
     wordy = _write(tmp_path, "wordy.json", {"fit_window_ns": ["a", 120]})
     assert main(["response", "--config", str(wordy)]) == 2
     assert "config error" in capsys.readouterr().err
+    endless = _write(tmp_path, "endless.json", {"room": [[0, math.inf], [0, 5], [0, 2.6]]})
+    assert main(["response", "--config", str(endless)]) == 2
+    assert "config error: room:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("flags", "doc"),
+    [
+        (["--runs", "0"], {"runs": 0}),
+        (["--kmax", "x"], {"kmax": "x"}),
+        (["--seed", "1.5"], {"seed": 1.5}),
+        (["--grid", "1e9,inf,8"], {"grids": [[1e9, math.inf, 8]]}),
+        (["--grid", "3e9,2e9,8"], {"grids": [[3e9, 2e9, 8]]}),
+        (["--grid", "2e9,3e9"], {"grids": [[2e9, 3e9]]}),
+    ],
+    ids=["runs-zero", "kmax-text", "seed-fraction", "grid-inf", "grid-reversed", "grid-pair"],
+)
+def test_flag_values_are_judged_like_file_values(tmp_path, capsys, flags, doc):
+    out = str(tmp_path / "o")
+    assert main(["response", "--out", out] + flags) == 2
+    from_flag = capsys.readouterr().err
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["response", "--config", str(cfg), "--out", out]) == 2
+    assert from_flag == capsys.readouterr().err
+    assert from_flag.startswith(f"config error: {next(iter(doc))}: ")
+
+
+@pytest.mark.parametrize("doc", [{"runs": 0}, {"mode": "plot"}, {"out": 3}],
+                         ids=["runs", "mode", "out"])
+def test_file_values_are_checked_even_when_a_flag_replaces_them(tmp_path, capsys, doc):
+    cfg = _write(tmp_path, "c.json", doc)
+    status = main(["response", "--config", str(cfg), "--runs", "2",
+                   "--out", str(tmp_path / "o"), "--grid", "2e9,3e9,8"])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(f"config error: {next(iter(doc))}: ")
 
 
 def test_missing_out_dir_exits_two(tmp_path, capsys):

@@ -99,6 +99,21 @@ def test_config_rejects_bad_probabilities_and_placements():
         ScenarioConfig(tail_slope_db_per_ns=0.1)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"tail_slope_db_per_ns": math.nan},
+        {"tail_slope_db_per_ns": -math.inf},
+        {"speed_of_light": math.nan},
+        {"speed_of_light": math.inf},
+    ],
+    ids=["slope-nan", "slope-minus-inf", "speed-nan", "speed-inf"],
+)
+def test_config_rejects_nonfinite_slope_and_speed(changes):
+    with pytest.raises(ValueError):
+        ScenarioConfig(**changes)
+
+
 def test_box_membership():
     box = Box(((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)))
     assert box.contains((0.5, 1.5, 2.5))

@@ -115,6 +115,8 @@ def test_grid_validation():
         FrequencyGrid(0.0, 2e9, 64)
     with pytest.raises(ValueError):
         FrequencyGrid(2e9, 3e9, 1)
+    with pytest.raises(ValueError):
+        FrequencyGrid(1e9, math.inf, 8)
 
 
 # -- window -------------------------------------------------------------------
