@@ -16,7 +16,9 @@ Configuration is a flat JSON object; an empty file (``{}``) yields the
 reference-office defaults.  Unknown keys are rejected.  Outputs are plain
 CSV plus a JSON sidecar with the grid, window, seeds, and a config digest;
 floats are written with ``repr`` so reruns are byte-identical.  The
-``REVGRAPH_THREADS`` environment variable caps ensemble parallelism.
+``REVGRAPH_THREADS`` environment variable caps the worker processes of both
+the ensemble runs and the CSV writers of ``response`` and ``dissect``; output
+is byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from .synthesis import (
     sample_transfer,
     sample_transfer_slices,
     spatial_spectrum,
-    write_impulse_csv,
-    write_response_csv,
+    write_csv_files,
     write_sidecar,
     write_spectrum_csv,
 )
@@ -476,6 +477,8 @@ def _sidecar(spec: ExperimentSpec, grid: FrequencyGrid, seeds, extra: dict) -> d
 
 def _run_response(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
+    workers = _worker_count(2 * len(spec.grids))
+    jobs = []
     plots = []
     for grid in spec.grids:
         realization = generate_realization(spec.scenario, grid)
@@ -483,8 +486,8 @@ def _run_response(spec: ExperimentSpec) -> int:
         window = hann_window(grid)
         pulse = impulse_response(samples, window)
         tag = _grid_tag(grid)
-        write_response_csv(out / f"response_{tag}.csv", samples)
-        write_impulse_csv(out / f"impulse_{tag}.csv", pulse)
+        jobs += [("response", out / f"response_{tag}.csv", samples),
+                 ("impulse", out / f"impulse_{tag}.csv", pulse)]
         write_sidecar(
             out / f"response_{tag}.meta.json",
             **_sidecar(spec, grid, [spec.scenario.seed], {
@@ -500,6 +503,7 @@ def _run_response(spec: ExperimentSpec) -> int:
             f"impulse_{tag}.csv: x = delay_s * 1e9 (ns), "
             "y = 20*log10(hypot(h_re, h_im)) (dB)"
         )
+    write_csv_files(jobs, workers)
     (out / "plots.txt").write_text("\n".join(plots) + "\n")
     return 0
 
@@ -517,15 +521,16 @@ def _dissection_ranges(k_max: int) -> list[BounceRange]:
 def _run_dissect(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
     grid = spec.grids[0]
-    realization = generate_realization(spec.scenario, grid)
     ranges = _dissection_ranges(spec.k_max)
+    workers = _worker_count(len(ranges))
+    realization = generate_realization(spec.scenario, grid)
     slices = sample_transfer_slices(realization.graph, grid, ranges)
     window = hann_window(grid)
+    jobs = []
     plots = []
     for piece in slices:
-        pulse = impulse_response(piece, window)
         name = f"dissect_{_range_tag(piece.bounce_range)}.csv"
-        write_impulse_csv(out / name, pulse)
+        jobs.append(("impulse", out / name, impulse_response(piece, window)))
         plots.append(
             f"{name}: x = delay_s * 1e9 (ns), y = 20*log10(hypot(h_re, h_im)) (dB), "
             f"bounce orders {piece.bounce_range.label}"
@@ -539,6 +544,7 @@ def _run_dissect(spec: ExperimentSpec) -> int:
             "attempts": realization.attempts,
         }),
     )
+    write_csv_files(jobs, workers)
     (out / "plots.txt").write_text("\n".join(plots) + "\n")
     return 0
 

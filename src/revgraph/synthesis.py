@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property, partial
@@ -62,6 +62,7 @@ __all__ = [
     "write_response_csv",
     "write_impulse_csv",
     "write_spectrum_csv",
+    "write_csv_files",
     "write_sidecar",
 ]
 
@@ -331,13 +332,31 @@ class DelayPowerSpectrum:
         return self.grid.delays()
 
 
-def _annotate(exc: BaseException, run_index: int, seed: int) -> None:
-    note = f"while simulating run {run_index} (seed {seed})"
+def _add_note(exc: BaseException, note: str) -> None:
     add_note = getattr(exc, "add_note", None)
     if add_note is not None:
         add_note(note)
     else:  # pre-3.11 interpreters: carry the context in the args tuple
         exc.args = exc.args + (note,)
+
+
+def _annotate(exc: BaseException, run_index: int, seed: int) -> None:
+    _add_note(exc, f"while simulating run {run_index} (seed {seed})")
+
+
+def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
+    """Yield ``fn(item)`` for each item, in input order.
+
+    With ``workers`` > 1 and at least two items, the calls run in a pool of at
+    most ``workers`` processes, ``chunksize`` items per task; otherwise they
+    run here, one at a time.  ``fn`` and the items must pickle.
+    """
+    items = list(items)
+    if workers is None or workers < 2 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
 
 
 def _ensemble_run_powers(config, grid, bounce_ranges, window, rx_index, tx_index):
@@ -377,11 +396,7 @@ def ensemble_spectra(
     seeds = range(config.seed, config.seed + n_runs)
     configs = (replace(config, seed=seed) for seed in seeds)
     totals = [np.zeros(grid.n_samples) for _ in bounce_ranges]
-    if workers is not None:
-        workers = min(workers, n_runs)
-    pooled = workers is not None and workers > 1
-    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
-        results = pool.map(run, configs) if pooled else map(run, configs)
+    with closing(_ordered_map(run, configs, workers)) as results:
         for i, seed in enumerate(seeds):
             try:
                 powers = next(results)
@@ -579,9 +594,47 @@ def write_spectrum_csv(path, spectrum: DelayPowerSpectrum) -> None:
                    [spectrum.grid._delay_text, map(repr, power), map(repr, db)])
 
 
+# A write_csv_files job names its writer by key, and the writer is looked up in
+# this module where the job runs.  No function object is pickled, so a writer
+# replaced by a closure (a profiler's timing wrapper, say) still runs in a pool.
+_CSV_WRITERS = {
+    "response": "write_response_csv",
+    "impulse": "write_impulse_csv",
+    "spectrum": "write_spectrum_csv",
+}
+
+
+def _write_csv_job(job) -> None:
+    key, path, data = job
+    try:
+        globals()[_CSV_WRITERS[key]](path, data)
+    except Exception as exc:
+        _add_note(exc, f"while writing {path}")
+        raise
+
+
+def write_csv_files(jobs, workers: int | None = None) -> None:
+    """Write ``(key, path, data)`` jobs, ``key`` one of response, impulse, spectrum.
+
+    ``write_<key>_csv(path, data)`` writes each file.  With ``workers`` > 1 the
+    jobs are split into one chunk per worker process, so each worker formats
+    a grid's axis column once; the bytes written do not depend on ``workers``.
+    An error names the file being written.
+    """
+    jobs = list(jobs)
+    chunksize = -(-len(jobs) // workers) if workers else 1
+    for _ in _ordered_map(_write_csv_job, jobs, workers, chunksize):
+        pass
+
+
 def config_digest(config_doc: dict) -> str:
-    """SHA-1 of the canonical JSON form of a config document."""
-    canonical = json.dumps(config_doc, sort_keys=True, separators=(",", ":"))
+    """SHA-1 of the canonical JSON form of a config document.
+
+    The ``out`` entry is left out: where an artifact was written does not
+    change how it was made.
+    """
+    doc = {k: v for k, v in config_doc.items() if k != "out"}
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(canonical.encode()).hexdigest()
 
 

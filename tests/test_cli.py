@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -306,6 +307,11 @@ def test_reruns_are_byte_identical(tmp_path):
         outs.append(out)
     for name in ("spectrum_ensemble_2to3GHz_M64.csv", "tail_slopes.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # The digest identifies the experiment, wherever it was written.
+    metas = [json.loads((out / "spectrum_ensemble_2to3GHz_M64.meta.json").read_text())
+             for out in outs]
+    assert metas[0]["config"]["out"] != metas[1]["config"]["out"]
+    assert metas[0]["config_sha1"] == metas[1]["config_sha1"]
 
 
 def test_validate_mode_passes_on_defaults(tmp_path, capsys):
@@ -494,10 +500,96 @@ def test_engine_errors_exit_one(monkeypatch, tmp_path, capsys):
 def test_threads_override_is_validated(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REVGRAPH_THREADS", "many")
     cfg = _write(tmp_path, "c.json", {"runs": 2})
-    status = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                   "--grid", "2e9,3e9,16"])
-    assert status == 2
-    assert "REVGRAPH_THREADS" in capsys.readouterr().err
+    for mode in ("ensemble", "dissect"):
+        status = main([mode, "--config", str(cfg), "--out", str(tmp_path / mode),
+                       "--grid", "2e9,3e9,16"])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("config error: REVGRAPH_THREADS: ")
+
+
+def _spy_on_pool(monkeypatch) -> list:
+    """Record (max_workers, chunksize) of every pool map; the real pool still runs."""
+    import revgraph.synthesis as synthesis
+
+    calls = []
+
+    class SpyPool(synthesis.ProcessPoolExecutor):
+        def __init__(self, max_workers=None):
+            super().__init__(max_workers=max_workers)
+            self.max_workers = max_workers
+
+        def map(self, fn, *iterables, chunksize=1):
+            calls.append((self.max_workers, chunksize))
+            return super().map(fn, *iterables, chunksize=chunksize)
+
+    monkeypatch.setattr(synthesis, "ProcessPoolExecutor", SpyPool)
+    return calls
+
+
+def _use_workers(monkeypatch, n: int) -> None:
+    import revgraph.cli as cli
+
+    if n == 1:
+        monkeypatch.setenv("REVGRAPH_THREADS", "1")
+    else:
+        monkeypatch.delenv("REVGRAPH_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: n)
+
+
+def _wrap_writers(monkeypatch) -> None:
+    # As a tracer does: the writers become closures, which cannot be pickled.
+    import revgraph.cli as cli
+    import revgraph.synthesis as synthesis
+
+    for name in ("write_response_csv", "write_impulse_csv", "write_spectrum_csv"):
+        original = getattr(synthesis, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            return _original(*args, **kwargs)
+
+        for module in (cli, synthesis):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+
+def test_pooled_csv_writes_match_serial(monkeypatch, tmp_path):
+    out = tmp_path / "o"
+    argvs = [
+        ["response", "--out", str(out / "r"), "--grid", "2e9,3e9,64", "--grid", "1e9,11e9,32"],
+        ["dissect", "--out", str(out / "d"), "--grid", "2e9,3e9,64", "--kmax", "3"],
+    ]
+
+    def run_all() -> dict:
+        shutil.rmtree(out, ignore_errors=True)
+        for argv in argvs:
+            assert main(argv) == 0
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    pools = _spy_on_pool(monkeypatch)
+    _use_workers(monkeypatch, 1)
+    serial = run_all()
+    assert pools == []
+    assert len([p for p in serial if p.suffix == ".csv"]) == 4 + 14
+    _use_workers(monkeypatch, 2)
+    assert run_all() == serial
+    # One chunk per worker: 4 response files, then 14 dissect files, over 2 workers.
+    assert pools == [(2, 2), (2, 7)]
+    _wrap_writers(monkeypatch)
+    assert run_all() == serial
+    assert pools == [(2, 2), (2, 7)] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_write_errors_name_the_file(monkeypatch, tmp_path, capsys, workers):
+    pools = _spy_on_pool(monkeypatch)
+    _use_workers(monkeypatch, workers)
+    out = tmp_path / "o"
+    blocked = out / "dissect_1toinf.csv"  # the last of 5 files, in the second chunk
+    blocked.mkdir(parents=True)
+    status = main(["dissect", "--out", str(out), "--grid", "2e9,3e9,16", "--kmax", "1"])
+    assert status == 1
+    assert f"while writing {blocked}" in capsys.readouterr().err
+    assert pools == ([] if workers == 1 else [(2, 3)])
 
 
 def test_spec_validation_catches_bad_knobs():

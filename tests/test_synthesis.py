@@ -490,7 +490,7 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(synthesis, "ProcessPoolExecutor", RecordingPool)
