@@ -26,18 +26,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from ._fields import (
+    _INTEGER, _NUMBER, _PAIR, ValidationError, _array, _array_schema, _check_fields, _Field,
+    _instance_of, _Kind,
+)
 from .graph import EdgeClass, block_samples, reverse_graph, walk_sum
-from .scenario import Box, ScenarioConfig, edge_gain, generate_realization
+from .scenario import _SCENARIO_FIELDS, ScenarioConfig, edge_gain, generate_realization
 from .synthesis import (
     DelayPowerSpectrum,
     FrequencyGrid,
@@ -92,15 +95,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, field {field or '<document>'}: {message}")
 
 
-class ValidationError(ValueError):
-    """A config field parsed fine but holds an unusable value."""
-
-    def __init__(self, field: str, reason: str):
-        self.field = field
-        self.reason = reason
-        super().__init__(f"{field}: {reason}")
-
-
 class Mode(Enum):
     RESPONSE = "response"
     DISSECT = "dissect"
@@ -124,64 +118,21 @@ class ExperimentSpec:
     fit_window_ns: tuple[float, float] = DEFAULT_FIT_WINDOW_NS
 
     def __post_init__(self) -> None:
-        for f in _SPEC_FIELDS:
-            f.check(getattr(self, f.attr))
+        _check_fields(self, _SPEC_FIELDS)
 
 
 # -- Config documents ---------------------------------------------------------------
 #
-# One table describes every config field.  It drives load_config, the command-line
-# flags, spec_to_document, the checks of ExperimentSpec and config_schema().
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _array(value, shape: str, length: int | None = None) -> list:
-    """A nonempty array, of exactly ``length`` entries when given."""
-    if not isinstance(value, (list, tuple)) or not value or (
-        length is not None and len(value) != length
-    ):
-        raise ValueError(f"expected {shape}, got {value!r}")
-    return value
-
-
-def _numbers(value, shape: str, length: int) -> tuple[float, ...]:
-    return tuple(_number(v) for v in _array(value, shape, length))
-
-
-def _pair(value) -> tuple[float, float]:
-    low, high = _numbers(value, "[low, high]", 2)
-    if not low < high:
-        raise ValueError(f"expected low < high, got [{low:g}, {high:g}]")
-    return low, high
-
-
-def _points(value) -> tuple[tuple[float, ...], ...]:
-    return tuple(_numbers(p, "[x, y, z]", 3) for p in _array(value, "a list of [x, y, z] points"))
-
-
-def _room(value) -> Box:
-    return Box(tuple(_pair(pair) for pair in _array(value, "three [low, high] pairs", 3)))
+# The field tables (_SCENARIO_FIELDS in scenario.py, _SPEC_FIELDS here) drive
+# load_config, the command-line flags, spec_to_document, the checks of ScenarioConfig
+# and ExperimentSpec, and config_schema().
 
 
 def _grids(value) -> tuple[FrequencyGrid, ...]:
-    grids = []
-    for entry in _array(value, "a list of [f_min, f_max, M]"):
-        f_min, f_max, m = _array(entry, "[f_min, f_max, M]", 3)
-        grids.append(FrequencyGrid(_number(f_min), _number(f_max), _integer(m)))
-    return tuple(grids)
+    return tuple(
+        FrequencyGrid(*_array(entry, "[f_min, f_max, M]", 3))
+        for entry in _array(value, "a list of [f_min, f_max, M]")
+    )
 
 
 def _mode(value) -> Mode:
@@ -197,136 +148,19 @@ def _path(value) -> Path:
     return Path(value)
 
 
-def _lists(rows) -> list:
-    return [list(row) for row in rows]
-
-
-def _unchanged(value):
-    return value
-
-
-@dataclass(frozen=True)
-class _Kind:
-    """How one kind of field is read from JSON, checked, written back and described."""
-
-    schema: dict
-    parse: Callable  # JSON value -> attribute value; raises ValueError
-    dump: Callable = _unchanged  # attribute value -> JSON value
-    # Raises ValueError for a bad attribute value, so ExperimentSpec can run it too.
-    check: Callable = _unchanged
-
-
-def _array_schema(items, length: int | None = None) -> dict:
-    if length is None:
-        return {"type": "array", "minItems": 1, "items": items}
-    return {"type": "array", "minItems": length, "maxItems": length, "items": items}
-
-
-_INTEGER = _Kind({"type": "integer"}, _integer)
-_NUMBER = _Kind({"type": "number"}, _number, check=_number)
-_PAIR = _Kind(_array_schema({"type": "number"}, 2), _pair, dump=list, check=_pair)
-_POINTS = _Kind(_array_schema(_array_schema({"type": "number"}, 3)), _points, dump=_lists)
-_ROOM = _Kind(_array_schema(_PAIR.schema, 3), _room, dump=lambda box: _lists(box.bounds))
 _GRIDS = _Kind(
     _array_schema(_array_schema(
         [{"type": "number", "exclusiveMinimum": 0}] * 2 + [{"type": "integer", "minimum": 2}], 3
     )),
-    _grids,
+    lambda grids: tuple(map(_instance_of(FrequencyGrid), _array(grids, "at least one frequency grid"))),
+    parse=_grids,
     dump=lambda grids: [[g.f_min_hz, g.f_max_hz, g.n_samples] for g in grids],
-    check=lambda grids: _array(grids, "at least one frequency grid"),
 )
-_MODE = _Kind({"type": "string", "enum": [m.value for m in Mode]}, _mode, dump=lambda m: m.value)
-_PATH = _Kind({"type": "string"}, _path, dump=str)
+_MODE = _Kind({"type": "string", "enum": [m.value for m in Mode]}, _instance_of(Mode), parse=_mode,
+              dump=lambda m: m.value)
+_PATH = _Kind({"type": "string"}, _instance_of(Path), parse=_path, dump=str)
 
-# JSON Schema bound keyword: (test a value must pass, its symbol, its interval bracket)
-_BOUND_TESTS = {
-    "minimum": (operator.ge, ">=", "["),
-    "exclusiveMinimum": (operator.gt, ">", "("),
-    "maximum": (operator.le, "<=", "]"),
-    "exclusiveMaximum": (operator.lt, "<", ")"),
-}
-
-
-def _check_bounds(value, bounds: dict) -> None:
-    if all(_BOUND_TESTS[key][0](value, bound) for key, bound in bounds.items()):
-        return
-    if len(bounds) == 1:
-        ((key, bound),) = bounds.items()
-        raise ValueError(f"must be {_BOUND_TESTS[key][1]} {bound:g}")
-    (low_key, low), (high_key, high) = bounds.items()
-    raise ValueError(f"not in {_BOUND_TESTS[low_key][2]}{low:g},{high:g}{_BOUND_TESTS[high_key][2]}")
-
-
-@dataclass(frozen=True)
-class _Field:
-    """One config field: document key, kind, target attribute, description and bounds."""
-
-    name: str
-    kind: _Kind
-    attr: str  # on ScenarioConfig or ExperimentSpec, as the table holding the field says
-    description: str
-    bounds: dict = field(default_factory=dict)  # JSON Schema keywords, lower bound first
-    nullable: bool = False
-
-    def parse(self, raw):
-        """The attribute value a document entry gives."""
-        return self.check(raw, self.kind.parse)
-
-    def check(self, value, parse=_unchanged):
-        """``parse(value)``, checked by the kind and the bounds; ValueErrors name this field."""
-        if value is None and self.nullable:
-            return None
-        try:
-            value = parse(value)
-            self.kind.check(value)
-            _check_bounds(value, self.bounds)
-        except ValueError as exc:  # includes what Box and FrequencyGrid reject
-            raise ValidationError(self.name, str(exc)) from exc
-        return value
-
-    def dump(self, value):
-        return None if value is None else self.kind.dump(value)
-
-    def schema(self, default) -> dict:
-        kind = dict(self.kind.schema)
-        if self.nullable:
-            kind["type"] = [kind["type"], "null"]
-        return {"description": self.description, **kind, **self.bounds, "default": default}
-
-
-_UNIT_INTERVAL = {"minimum": 0, "maximum": 1}
-
-# In spec_to_document key order: ScenarioConfig attributes, then ExperimentSpec ones.
-_SCENARIO_FIELDS = (
-    _Field("room", _ROOM, "region",
-           "Axis-aligned room as [[x_lo, x_hi], [y_lo, y_hi], [z_lo, z_hi]] in meters."),
-    _Field("tx", _POINTS, "tx_positions",
-           "Transmitter positions, list of [x, y, z] in meters inside the room."),
-    _Field("rx", _POINTS, "rx_positions", "Receiver positions, same shape as tx."),
-    _Field("n_scatterers", _INTEGER, "n_scatterers",
-           "Number of point scatterers placed uniformly in the room.", {"minimum": 0}),
-    _Field("p_vis", _NUMBER, "p_visibility",
-           "Visibility probability for every non-direct vertex pair.", _UNIT_INTERVAL),
-    _Field("p_dir", _NUMBER, "p_direct",
-           "Probability of each direct transmitter-receiver link.", _UNIT_INTERVAL),
-    _Field("tail_slope_db_per_ns", _NUMBER, "tail_slope_db_per_ns",
-           "Target tail slope of the delay-power spectrum; the shared inter-scatterer gain "
-           "is derived from it per realization as g = 10^(slope * mean_delay / 20). With "
-           "the g / out_degree split the realised tail slope is steeper: about -0.95 dB/ns "
-           "for the default target (acceptance criterion 5). Negative, or null when "
-           "inter_scatterer_gain is given.",
-           {"exclusiveMaximum": 0}, nullable=True),
-    _Field("inter_scatterer_gain", _NUMBER, "inter_scatterer_gain",
-           "Fixed shared inter-scatterer gain g in (0, 1), split per edge as "
-           "g / out_degree. Mutually exclusive with tail_slope_db_per_ns.",
-           {"exclusiveMinimum": 0, "exclusiveMaximum": 1}, nullable=True),
-    _Field("speed_of_light", _NUMBER, "speed_of_light",
-           "Propagation speed in m/s used to turn distances into delays.",
-           {"exclusiveMinimum": 0}),
-    _Field("seed", _INTEGER, "seed", "Base seed; run i of an ensemble uses seed + i."),
-    _Field("max_rejections", _INTEGER, "max_rejections",
-           "Attempt budget for the draw/reject loop.", {"minimum": 1}),
-)
+# In spec_to_document key order, after the ScenarioConfig fields.
 _SPEC_FIELDS = (
     _Field("grids", _GRIDS, "grids",
            "Frequency grids as [f_min_hz, f_max_hz, n_samples] triples, band edges inclusive."),
@@ -382,21 +216,9 @@ def _parse_fields(fields, doc: dict) -> dict:
 
 def _spec_from_document(doc: dict) -> ExperimentSpec:
     scenario = _parse_fields(_SCENARIO_FIELDS, doc)
-    slope = scenario.get("tail_slope_db_per_ns")
-    gain = scenario.get("inter_scatterer_gain")
-    if slope is not None and gain is not None:
-        raise ValidationError("inter_scatterer_gain",
-                              "give either tail_slope_db_per_ns or inter_scatterer_gain, not both")
-    if gain is not None:
-        scenario["tail_slope_db_per_ns"] = None
-    elif "tail_slope_db_per_ns" in scenario and slope is None:
-        raise ValidationError("tail_slope_db_per_ns",
-                              "cannot be null unless inter_scatterer_gain is given")
-    try:
-        scenario = ScenarioConfig(**scenario)
-    except ValueError as exc:
-        raise ValidationError("scenario", str(exc)) from exc
-    return ExperimentSpec(scenario, **_parse_fields(_SPEC_FIELDS, doc))
+    if scenario.get("inter_scatterer_gain") is not None:
+        scenario.setdefault("tail_slope_db_per_ns", None)  # a given gain replaces the default slope
+    return ExperimentSpec(ScenarioConfig(**scenario), **_parse_fields(_SPEC_FIELDS, doc))
 
 
 def default_spec() -> ExperimentSpec:
@@ -567,34 +389,41 @@ def _slope_report_line(tag: str, spectrum: DelayPowerSpectrum, spec: ExperimentS
     )
 
 
-def _run_ensemble(spec: ExperimentSpec) -> int:
-    out = _require_out_dir(spec)
-    workers = _worker_count(spec.n_runs)
-    seeds = [spec.scenario.seed + i for i in range(spec.n_runs)]
+def _run_spectra(spec: ExperimentSpec, out: Path, per_grid: Callable) -> int:
+    """Write a spectrum CSV, sidecar and tail fit per grid, then the reports.
+
+    ``per_grid(grid)`` returns the spectrum, its seeds and the sidecar entries after ``mode``.
+    """
     report = []
     plots = []
     for grid in spec.grids:
-        window = hann_window(grid)
-        spectrum = ensemble_spectrum(
-            spec.scenario, grid, spec.n_runs, window, workers=workers
-        )
+        spectrum, seeds, extra = per_grid(grid)
         tag = _grid_tag(grid)
-        name = f"spectrum_ensemble_{tag}.csv"
-        write_spectrum_csv(out / name, spectrum)
+        stem = f"spectrum_{spec.mode.value}_{tag}"
+        write_spectrum_csv(out / f"{stem}.csv", spectrum)
         write_sidecar(
-            out / f"spectrum_ensemble_{tag}.meta.json",
-            **_sidecar(spec, grid, seeds, {
-                "mode": Mode.ENSEMBLE.value,
-                "n_runs": spec.n_runs,
-            }),
+            out / f"{stem}.meta.json",
+            **_sidecar(spec, grid, seeds, {"mode": spec.mode.value, **extra}),
         )
         report.append(_slope_report_line(tag, spectrum, spec))
-        plots.append(f"{name}: x = delay_s * 1e9 (ns), y = power_db (dB)")
+        plots.append(f"{stem}.csv: x = delay_s * 1e9 (ns), y = power_db (dB)")
     (out / "tail_slopes.txt").write_text("\n".join(report) + "\n")
     (out / "plots.txt").write_text("\n".join(plots) + "\n")
     for line in report:
         print(line)
     return 0
+
+
+def _run_ensemble(spec: ExperimentSpec) -> int:
+    out = _require_out_dir(spec)
+    workers = _worker_count(spec.n_runs)
+    seeds = [spec.scenario.seed + i for i in range(spec.n_runs)]
+
+    def per_grid(grid):
+        spectrum = ensemble_spectrum(spec.scenario, grid, spec.n_runs, hann_window(grid), workers=workers)
+        return spectrum, seeds, {"n_runs": spec.n_runs}
+
+    return _run_spectra(spec, out, per_grid)
 
 
 def _spatial_positions(spec: ExperimentSpec) -> list[tuple[float, float, float]]:
@@ -613,31 +442,17 @@ def _spatial_positions(spec: ExperimentSpec) -> list[tuple[float, float, float]]
 def _run_spatial(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
     positions = _spatial_positions(spec)
-    report = []
-    plots = []
-    for grid in spec.grids:
+
+    def per_grid(grid):
         realization = generate_realization(spec.scenario, grid)
-        window = hann_window(grid)
-        spectrum = spatial_spectrum(realization, positions, grid, window)
-        tag = _grid_tag(grid)
-        name = f"spectrum_spatial_{tag}.csv"
-        write_spectrum_csv(out / name, spectrum)
-        write_sidecar(
-            out / f"spectrum_spatial_{tag}.meta.json",
-            **_sidecar(spec, grid, [spec.scenario.seed], {
-                "mode": Mode.SPATIAL.value,
-                "n_positions": len(positions),
-                "mesh_m": spec.spatial_mesh_m,
-                "attempts": realization.attempts,
-            }),
-        )
-        report.append(_slope_report_line(tag, spectrum, spec))
-        plots.append(f"{name}: x = delay_s * 1e9 (ns), y = power_db (dB)")
-    (out / "tail_slopes.txt").write_text("\n".join(report) + "\n")
-    (out / "plots.txt").write_text("\n".join(plots) + "\n")
-    for line in report:
-        print(line)
-    return 0
+        spectrum = spatial_spectrum(realization, positions, grid, hann_window(grid))
+        return spectrum, [spec.scenario.seed], {
+            "n_positions": len(positions),
+            "mesh_m": spec.spatial_mesh_m,
+            "attempts": realization.attempts,
+        }
+
+    return _run_spectra(spec, out, per_grid)
 
 
 # -- Validation mode -------------------------------------------------------------------

@@ -121,6 +121,15 @@ class EdgeClass(enum.Enum):
     INTER_SCATTER = "inter_scatter"  # scatterer -> scatterer
 
 
+# The edge class of each (source kind, destination kind) pair an edge may join.
+_CLASS_OF_ENDPOINTS = {
+    (VertexKind.TX, VertexKind.RX): EdgeClass.DIRECT,
+    (VertexKind.TX, VertexKind.SCATTERER): EdgeClass.TX_SCATTER,
+    (VertexKind.SCATTERER, VertexKind.RX): EdgeClass.SCATTER_RX,
+    (VertexKind.SCATTERER, VertexKind.SCATTERER): EdgeClass.INTER_SCATTER,
+}
+
+
 @dataclass(frozen=True)
 class ConstantGain:
     """Frequency-flat amplitude gain."""
@@ -226,13 +235,7 @@ class Edge:
 
     @property
     def edge_class(self) -> EdgeClass:
-        if self.src.kind is VertexKind.TX:
-            if self.dst.kind is VertexKind.RX:
-                return EdgeClass.DIRECT
-            return EdgeClass.TX_SCATTER
-        if self.dst.kind is VertexKind.RX:
-            return EdgeClass.SCATTER_RX
-        return EdgeClass.INTER_SCATTER
+        return _CLASS_OF_ENDPOINTS[self.src.kind, self.dst.kind]
 
     def transfer_value(self, freq_hz):
         """Complex transfer function of this edge at one or more frequencies."""

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .graph import (
+    _CLASS_OF_ENDPOINTS,
     Edge,
     EdgeClass,
     FrequencyLawGain,
@@ -41,6 +42,10 @@ from .graph import (
     rx,
     scatterer,
     tx,
+)
+from ._fields import (
+    _INTEGER, _NUMBER, _PAIR, _POINTS, _UNIT_INTERVAL, ValidationError, _array, _array_schema,
+    _check_band, _check_fields, _Field, _instance_of, _interval, _Kind, _lists, _pair,
 )
 from .transfer import SpectralRadiusExceeded, _flat_loop_contracts, verify_contraction
 
@@ -117,14 +122,50 @@ class Box:
 _DEFAULT_ROOM = Box(((0.0, 5.0), (0.0, 5.0), (0.0, 2.6)))
 
 
-def _as_points(value) -> tuple[tuple[float, float, float], ...]:
-    points = []
-    for p in value:
-        q = tuple(float(c) for c in p)
-        if len(q) != 3:
-            raise ValueError(f"position must be a 3-vector, got {p!r}")
-        points.append(q)
-    return tuple(points)
+def _room(value) -> Box:
+    return Box(tuple(_pair(pair) for pair in _array(value, "three [low, high] pairs", 3)))
+
+
+_ROOM = _Kind(
+    _array_schema(_PAIR.schema, 3),
+    _instance_of(Box),
+    parse=_room,
+    dump=lambda box: _lists(box.bounds),
+)
+
+_GAIN_BOUNDS = {"exclusiveMinimum": 0, "exclusiveMaximum": 1}
+
+# Every ScenarioConfig attribute, in config-document key order.
+_SCENARIO_FIELDS = (
+    _Field("room", _ROOM, "region",
+           "Axis-aligned room as [[x_lo, x_hi], [y_lo, y_hi], [z_lo, z_hi]] in meters."),
+    _Field("tx", _POINTS, "tx_positions",
+           "Transmitter positions, list of [x, y, z] in meters inside the room."),
+    _Field("rx", _POINTS, "rx_positions", "Receiver positions, same shape as tx."),
+    _Field("n_scatterers", _INTEGER, "n_scatterers",
+           "Number of point scatterers placed uniformly in the room.", {"minimum": 0}),
+    _Field("p_vis", _NUMBER, "p_visibility",
+           "Visibility probability for every non-direct vertex pair.", _UNIT_INTERVAL),
+    _Field("p_dir", _NUMBER, "p_direct",
+           "Probability of each direct transmitter-receiver link.", _UNIT_INTERVAL),
+    _Field("tail_slope_db_per_ns", _NUMBER, "tail_slope_db_per_ns",
+           "Target tail slope of the delay-power spectrum; the shared inter-scatterer gain "
+           "is derived from it per realization as g = 10^(slope * mean_delay / 20). With "
+           "the g / out_degree split the realised tail slope is steeper: about -0.95 dB/ns "
+           "for the default target (acceptance criterion 5). Negative, or null when "
+           "inter_scatterer_gain is given.",
+           {"exclusiveMaximum": 0}, nullable=True),
+    _Field("inter_scatterer_gain", _NUMBER, "inter_scatterer_gain",
+           f"Fixed shared inter-scatterer gain g in {_interval(_GAIN_BOUNDS)}, split per edge as "
+           "g / out_degree. Mutually exclusive with tail_slope_db_per_ns.",
+           _GAIN_BOUNDS, nullable=True),
+    _Field("speed_of_light", _NUMBER, "speed_of_light",
+           "Propagation speed in m/s used to turn distances into delays.",
+           {"exclusiveMinimum": 0}),
+    _Field("seed", _INTEGER, "seed", "Base seed; run i of an ensemble uses seed + i."),
+    _Field("max_rejections", _INTEGER, "max_rejections",
+           "Attempt budget for the draw/reject loop.", {"minimum": 1}),
+)
 
 
 @dataclass(frozen=True)
@@ -136,8 +177,13 @@ class ScenarioConfig:
     scatterers, visibility 0.8, certain direct path, and inter-scatterer
     gain derived from a -0.4 dB/ns target slope as g = 10^(slope * mu_es / 20)
     (see :func:`gain_from_slope`); the realised default ensemble tail slope
-    is about -0.95 dB/ns (acceptance criterion 5).  Exactly one of
-    ``tail_slope_db_per_ns`` and ``inter_scatterer_gain`` must be set.
+    is about -0.95 dB/ns (acceptance criterion 5).
+
+    Construction checks every attribute through ``_SCENARIO_FIELDS``, the
+    table config files are read with, and stores its normalised value; then
+    exactly one of ``tail_slope_db_per_ns`` and ``inter_scatterer_gain`` must
+    be set and every position must lie inside the room.  Failures raise
+    :class:`ValidationError` naming the config-file field.
     """
 
     region: Box = _DEFAULT_ROOM
@@ -153,33 +199,17 @@ class ScenarioConfig:
     max_rejections: int = 1000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tx_positions", _as_points(self.tx_positions))
-        object.__setattr__(self, "rx_positions", _as_points(self.rx_positions))
-        if not self.tx_positions or not self.rx_positions:
-            raise ValueError("need at least one transmitter and one receiver position")
-        for p in self.tx_positions + self.rx_positions:
-            if not self.region.contains(p):
-                raise ValueError(f"position {p} lies outside the room")
-        if self.n_scatterers < 0:
-            raise ValueError(f"n_scatterers must be >= 0, got {self.n_scatterers}")
-        for name in ("p_visibility", "p_direct"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        has_slope = self.tail_slope_db_per_ns is not None
-        has_gain = self.inter_scatterer_gain is not None
-        if has_slope == has_gain:
-            raise ValueError(
-                "exactly one of tail_slope_db_per_ns and inter_scatterer_gain must be set"
-            )
-        if has_slope and not -math.inf < self.tail_slope_db_per_ns < 0.0:
-            raise ValueError("tail slope must be finite and negative (a decaying tail)")
-        if has_gain and not 0.0 < self.inter_scatterer_gain < 1.0:
-            raise ValueError("inter_scatterer_gain must lie in (0, 1)")
-        if not 0.0 < self.speed_of_light < math.inf:
-            raise ValueError("speed_of_light must be finite and positive")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be >= 1")
+        _check_fields(self, _SCENARIO_FIELDS)
+        if self.tail_slope_db_per_ns is not None and self.inter_scatterer_gain is not None:
+            raise ValidationError("inter_scatterer_gain",
+                                  "give either tail_slope_db_per_ns or inter_scatterer_gain, not both")
+        if self.tail_slope_db_per_ns is None and self.inter_scatterer_gain is None:
+            raise ValidationError("tail_slope_db_per_ns",
+                                  "cannot be null unless inter_scatterer_gain is given")
+        for name, points in (("tx", self.tx_positions), ("rx", self.rx_positions)):
+            for p in points:
+                if not self.region.contains(p):
+                    raise ValidationError(name, f"position {p} lies outside the room")
 
     @property
     def n_tx(self) -> int:
@@ -354,14 +384,9 @@ def _build_edges(
         )
         delays[(src, dst)] = d / speed_of_light
 
-    def classify(src: VertexId, dst: VertexId) -> EdgeClass:
-        if src.kind is VertexKind.TX:
-            return EdgeClass.DIRECT if dst.kind is VertexKind.RX else EdgeClass.TX_SCATTER
-        return EdgeClass.SCATTER_RX if dst.kind is VertexKind.RX else EdgeClass.INTER_SCATTER
-
     by_class: dict[EdgeClass, list[tuple[VertexId, VertexId]]] = {cls: [] for cls in EdgeClass}
-    for pair in pairs:
-        by_class[classify(*pair)].append(pair)
+    for src, dst in pairs:
+        by_class[_CLASS_OF_ENDPOINTS[src.kind, dst.kind]].append((src, dst))
 
     stats: dict[EdgeClass, tuple[float, float]] = {}
     for cls in (EdgeClass.TX_SCATTER, EdgeClass.SCATTER_RX):
@@ -383,7 +408,7 @@ def _build_edges(
         out_degree[src] = out_degree.get(src, 0) + 1
 
     def gain_for(src: VertexId, dst: VertexId):
-        cls = classify(src, dst)
+        cls = _CLASS_OF_ENDPOINTS[src.kind, dst.kind]
         if cls is EdgeClass.DIRECT:
             return FrequencyLawGain(EdgeClass.DIRECT)
         if cls in stats:
@@ -428,9 +453,10 @@ def _loop_is_contractive(graph: PropagationGraph, freqs: np.ndarray) -> bool:
 
 def _band_edges(frequency_band) -> tuple[float, float]:
     if hasattr(frequency_band, "f_min_hz"):
-        return float(frequency_band.f_min_hz), float(frequency_band.f_max_hz)
-    lo, hi = frequency_band
-    return float(lo), float(hi)
+        frequency_band = frequency_band.f_min_hz, frequency_band.f_max_hz
+    lo, hi = (float(f) for f in frequency_band)
+    _check_band(lo, hi)
+    return lo, hi
 
 
 def generate_realization(
@@ -447,8 +473,6 @@ def generate_realization(
     attempts have been rejected.
     """
     f_lo, f_hi = _band_edges(frequency_band)
-    if not 0.0 < f_lo < f_hi:
-        raise ValueError(f"need 0 < f_min < f_max, got ({f_lo}, {f_hi})")
     validation_freqs = np.linspace(f_lo, f_hi, VALIDATION_FREQUENCIES)
     for attempt in range(config.max_rejections):
         pos_rng, edge_rng, phase_rng = _attempt_rngs(config.seed, attempt)

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import _check_band, _integer, _number
 from .graph import PropagationGraph, VertexKind, _receiver_side_samples, block_samples
 from .scenario import ScenarioConfig, ScenarioRealization, generate_realization, relocate_receiver
 from .transfer import (
@@ -91,10 +92,10 @@ class FrequencyGrid:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.f_min_hz < self.f_max_hz < math.inf:
-            raise ValueError(
-                f"need 0 < f_min < f_max < inf, got ({self.f_min_hz}, {self.f_max_hz})"
-            )
+        object.__setattr__(self, "f_min_hz", _number(self.f_min_hz))
+        object.__setattr__(self, "f_max_hz", _number(self.f_max_hz))
+        object.__setattr__(self, "n_samples", _integer(self.n_samples))
+        _check_band(self.f_min_hz, self.f_max_hz)
         if self.n_samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.n_samples}")
 

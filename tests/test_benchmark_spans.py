@@ -1,0 +1,42 @@
+"""The benchmark's traced run finds every public function it wraps.
+
+``perfbench/run.py::install_spans`` looks each function up by name, so a
+rename or deletion in revgraph breaks the traced benchmark run.  This test
+installs the spans on a fresh tracer, drives a small ``revgraph validate``
+through them, and removes them again; it only reads ``perfbench/``.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import revgraph.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _revgraph_callables() -> dict:
+    return {
+        (name, key): value
+        for name, module in list(sys.modules.items())
+        if module is not None and name.split(".")[0] == "revgraph"
+        for key, value in vars(module).items()
+        if callable(value)
+    }
+
+
+def test_benchmark_spans_wrap_existing_functions(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT))
+    install_spans = importlib.import_module("perfbench.run").install_spans
+    tracer = importlib.import_module("perfbench.tracing").Tracer()
+    before = _revgraph_callables()
+    try:
+        install_spans(tracer)
+        status = revgraph.cli.main(["validate", "--grid", "2e9,3e9,16"])
+    finally:
+        tracer.uninstall()
+    assert _revgraph_callables() == before
+    assert status == 0, capsys.readouterr()
+    for span in ("cli.main", "scenario.generate_realization", "graph.block_samples",
+                 "transfer", "graph.walk_sum", "synthesis.impulse_response"):
+        assert tracer.calls(span), f"no call went through the {span} span"

@@ -13,7 +13,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -33,10 +33,11 @@ from revgraph.cli import (
     main,
     spec_to_document,
     _KNOWN_FIELDS,
+    _SPEC_FIELDS,
     _dissection_ranges,
 )
 from revgraph.graph import ConstantGain, EdgeClass
-from revgraph.scenario import ScenarioConfig
+from revgraph.scenario import _SCENARIO_FIELDS, ScenarioConfig
 from revgraph.synthesis import FrequencyGrid
 
 
@@ -121,6 +122,39 @@ def test_booleans_are_not_numbers(tmp_path, doc):
     with pytest.raises(ValidationError) as info:
         load_config(path)
     assert info.value.field == next(iter(doc))
+
+
+def test_every_config_attribute_has_exactly_one_table_entry():
+    scenario_attrs = sorted(f.attr for f in _SCENARIO_FIELDS)
+    spec_attrs = sorted(["scenario"] + [f.attr for f in _SPEC_FIELDS])
+    assert scenario_attrs == sorted(f.name for f in fields(ScenarioConfig))
+    assert spec_attrs == sorted(f.name for f in fields(ExperimentSpec))
+    assert len(_KNOWN_FIELDS) == len(_SCENARIO_FIELDS) + len(_SPEC_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "owner, attr, key, value",
+    [
+        (ScenarioConfig, "n_scatterers", "n_scatterers", 2.5),
+        (ScenarioConfig, "max_rejections", "max_rejections", 2.5),
+        (ScenarioConfig, "seed", "seed", 1.5),
+        (ScenarioConfig, "p_visibility", "p_vis", True),
+        (ExperimentSpec, "n_runs", "runs", 2.5),
+        (ExperimentSpec, "k_max", "kmax", 1.5),
+        (ExperimentSpec, "spatial_points", "spatial_points", True),
+        (ScenarioConfig, "inter_scatterer_gain", "inter_scatterer_gain", 1.5),
+        (ScenarioConfig, "tx_positions", "tx", [[9.0, 1.0, 1.0]]),
+    ],
+    ids=["n_scatterers", "max_rejections", "seed", "p_vis", "runs", "kmax", "spatial_points",
+         "gain-out-of-range", "tx-outside-room"],
+)
+def test_constructors_reject_what_config_files_reject(tmp_path, owner, attr, key, value):
+    with pytest.raises(ValidationError) as built:
+        owner(**{attr: value})
+    with pytest.raises(ValidationError) as loaded:
+        load_config(_write(tmp_path, "c.json", {key: value}))
+    assert built.value.field == loaded.value.field == key
+    assert str(built.value) == str(loaded.value)
 
 
 def test_two_calibrations_rejected(tmp_path):

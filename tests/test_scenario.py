@@ -34,6 +34,7 @@ from revgraph.graph import (
     scatterer,
     tx,
 )
+from revgraph.cli import ValidationError
 from revgraph.scenario import (
     Box,
     EmptyEdgeClass,
@@ -78,10 +79,12 @@ def test_config_defaults_describe_reference_room():
 
 
 def test_config_rejects_two_gain_calibrations():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError) as both:
         ScenarioConfig(tail_slope_db_per_ns=-0.4, inter_scatterer_gain=0.6)
-    with pytest.raises(ValueError):
+    assert both.value.field == "inter_scatterer_gain"
+    with pytest.raises(ValidationError) as neither:
         ScenarioConfig(tail_slope_db_per_ns=None, inter_scatterer_gain=None)
+    assert neither.value.field == "tail_slope_db_per_ns"
 
 
 def test_config_rejects_bad_probabilities_and_placements():
@@ -112,6 +115,26 @@ def test_config_rejects_bad_probabilities_and_placements():
 def test_config_rejects_nonfinite_slope_and_speed(changes):
     with pytest.raises(ValueError):
         ScenarioConfig(**changes)
+
+
+def test_config_accepts_numpy_scalars_and_coordinates():
+    config = ScenarioConfig(
+        tx_positions=np.array([[1.78, 1.0, 1.5]]),
+        rx_positions=(np.array([4.18, 4.0, 1.5]),),
+        n_scatterers=np.int64(10),
+        p_visibility=np.float32(0.5),
+        p_direct=np.float64(1.0),
+        speed_of_light=np.float64(3e8),
+        seed=np.int64(7),
+        max_rejections=np.int32(50),
+    )
+    assert config == ScenarioConfig(p_visibility=0.5, seed=7, max_rejections=50)
+    assert type(config.n_scatterers) is int and type(config.seed) is int
+    assert type(config.p_visibility) is float
+    assert config.tx_positions == ((1.78, 1.0, 1.5),)
+    assert type(config.rx_positions[0][0]) is float
+    gain = ScenarioConfig(tail_slope_db_per_ns=None, inter_scatterer_gain=np.float64(0.5))
+    assert gain.inter_scatterer_gain == 0.5
 
 
 def test_box_membership():
@@ -390,6 +413,12 @@ def test_acceptance_builds_no_block_stack_and_agrees_with_the_stack_check(monkey
 def test_band_must_be_ordered():
     with pytest.raises(ValueError):
         generate_realization(ScenarioConfig(), (3e9, 2e9))
+
+
+def test_band_must_be_finite():
+    # Frequency grids obey the same rule, and say so in the same words.
+    with pytest.raises(ValueError, match="need 0 < f_min < f_max < inf"):
+        generate_realization(ScenarioConfig(), (2e9, math.inf))
 
 
 # -- receiver relocation ------------------------------------------------------------

@@ -117,6 +117,10 @@ def test_grid_validation():
         FrequencyGrid(2e9, 3e9, 1)
     with pytest.raises(ValueError):
         FrequencyGrid(1e9, math.inf, 8)
+    with pytest.raises(ValueError):
+        FrequencyGrid(2e9, 3e9, 2.5)
+    with pytest.raises(ValueError):
+        FrequencyGrid(2e9, 3e9, True)
 
 
 # -- window -------------------------------------------------------------------
