@@ -118,6 +118,11 @@ class ExperimentSpec:
     fit_window_ns: tuple[float, float] = DEFAULT_FIT_WINDOW_NS
 
     def __post_init__(self) -> None:
+        # The scenario's fields sit at the top level of a config document, so it has no table entry.
+        try:
+            _instance_of(ScenarioConfig)(self.scenario)
+        except ValueError as exc:
+            raise ValidationError("scenario", str(exc)) from exc
         _check_fields(self, _SPEC_FIELDS)
 
 

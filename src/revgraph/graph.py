@@ -109,6 +109,15 @@ def scatterer(index: int) -> VertexId:
     return VertexId(VertexKind.SCATTERER, index)
 
 
+def _vertices(n_tx: int, n_rx: int, n_scatterers: int) -> Iterator[VertexId]:
+    for i in range(n_tx):
+        yield tx(i)
+    for i in range(n_rx):
+        yield rx(i)
+    for i in range(n_scatterers):
+        yield scatterer(i)
+
+
 # -- Edge gains ---------------------------------------------------------------
 
 
@@ -324,12 +333,7 @@ class PropagationGraph:
 
     def vertices(self) -> Iterator[VertexId]:
         """All vertices in canonical order: transmitters, receivers, scatterers."""
-        for i in range(self.n_tx):
-            yield tx(i)
-        for i in range(self.n_rx):
-            yield rx(i)
-        for i in range(self.n_scatterers):
-            yield scatterer(i)
+        return _vertices(self.n_tx, self.n_rx, self.n_scatterers)
 
     def edge_between(self, src: VertexId, dst: VertexId) -> Edge | None:
         return self._edge_map.get((src, dst))
@@ -430,7 +434,8 @@ class _EdgeRow(NamedTuple):
 class _EdgeTable:
     """A graph's edges grouped by block, with the loop's flat-gain norm bound.
 
-    ``loop_bound`` is None unless every loop edge has a frequency-flat gain.
+    A table may hold only some of the blocks; ``loop_bound`` needs the loop
+    block.  It is None unless every loop edge has a frequency-flat gain.
     It is then the smaller of the max column and row sums of the loop's
     amplitude matrix, inflated so that it bounds those sums of the moduli of
     the stored samples at every frequency: a stored sample is the amplitude
@@ -441,11 +446,10 @@ class _EdgeTable:
 
     shapes: dict[str, tuple[int, int]]
     rows: dict[str, tuple[_EdgeRow, ...]]
-    frequency_dependent: bool
-    loop_bound: float | None
 
     @classmethod
-    def of(cls, graph: "PropagationGraph") -> "_EdgeTable":
+    def of(cls, graph: "PropagationGraph", names=tuple(_BLOCK_OF_CLASS.values())) -> "_EdgeTable":
+        """The table of the edges of ``graph`` that lie in the blocks ``names``."""
         n_sc = graph.n_scatterers
         shapes = {
             "direct": (graph.n_rx, graph.n_tx),
@@ -453,37 +457,42 @@ class _EdgeTable:
             "loop": (n_sc, n_sc),
             "collect": (graph.n_rx, n_sc),
         }
-        rows: dict[str, list[_EdgeRow]] = {name: [] for name in shapes}
+        rows: dict[str, list[_EdgeRow]] = {name: [] for name in names}
         for e in graph.edges:
-            flat = None if e.gain.frequency_dependent else float(e.gain.amplitude(1.0, e.delay_s))
-            rows[_BLOCK_OF_CLASS[e.edge_class]].append(_EdgeRow(
-                e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s, flat
-            ))
-        loop_bound = None
-        if all(row.flat is not None for row in rows["loop"]):
-            amplitude = np.zeros(shapes["loop"])
-            for row in rows["loop"]:
-                amplitude[row.dst, row.src] = row.flat
-            sums = (amplitude.sum(axis=0).max(initial=0.0), amplitude.sum(axis=1).max(initial=0.0))
-            loop_bound = float(min(sums)) * (1.0 + (n_sc + 4) * math.ulp(1.0))
-        return cls(
-            shapes=shapes,
-            rows={name: tuple(r) for name, r in rows.items()},
-            frequency_dependent=any(e.gain.frequency_dependent for e in graph.edges),
-            loop_bound=loop_bound,
-        )
+            block = rows.get(_BLOCK_OF_CLASS[e.edge_class])
+            if block is not None:
+                flat = None if e.gain.frequency_dependent else float(e.gain.amplitude(1.0, e.delay_s))
+                block.append(_EdgeRow(
+                    e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s, flat
+                ))
+        return cls(shapes=shapes, rows={name: tuple(r) for name, r in rows.items()})
 
-    def stacks(self, f: np.ndarray, names) -> dict[str, np.ndarray]:
-        """Frequency-minor blocks (rows, cols, m) on the checked axis ``f``.
+    @cached_property
+    def frequency_dependent(self) -> bool:
+        return any(row.flat is None for rows in self.rows.values() for row in rows)
+
+    @cached_property
+    def loop_bound(self) -> float | None:
+        loop = self.rows["loop"]
+        if any(row.flat is None for row in loop):
+            return None
+        amplitude = np.zeros(self.shapes["loop"])
+        for row in loop:
+            amplitude[row.dst, row.src] = row.flat
+        sums = (amplitude.sum(axis=0).max(initial=0.0), amplitude.sum(axis=1).max(initial=0.0))
+        return float(min(sums)) * (1.0 + (len(amplitude) + 4) * math.ulp(1.0))
+
+    def stacks(self, f: np.ndarray) -> dict[str, np.ndarray]:
+        """Frequency-minor blocks (rows, cols, m) of the tabulated blocks on the checked axis ``f``.
 
         Each edge writes cos and sin of phase - 2 pi delay f into its row
         and then scales it by its amplitude, amplitude first: bit for bit
         the samples of :meth:`Edge.transfer_value`.
         """
         out = {}
-        for name in names:
+        for name, rows in self.rows.items():
             stack = np.zeros(self.shapes[name] + f.shape, dtype=complex)
-            for row in self.rows[name]:
+            for row in rows:
                 x = row.phase - row.two_pi_delay * f
                 sample = stack[row.dst, row.src]
                 np.cos(x, out=sample.real)
@@ -495,13 +504,13 @@ class _EdgeTable:
         return out
 
 
-def _frequency_axis(graph: PropagationGraph, freqs) -> np.ndarray:
+def _frequency_axis(table: _EdgeTable, freqs) -> np.ndarray:
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     if f.ndim != 1:
         raise ValueError("freqs must be one-dimensional")
     if not np.all(np.isfinite(f)):
         raise ValueError("frequencies must be finite")
-    if graph._edge_table.frequency_dependent and np.any(f <= 0.0):
+    if table.frequency_dependent and np.any(f <= 0.0):
         raise ValueError("frequency-law gains require strictly positive frequencies")
     return f
 
@@ -512,14 +521,20 @@ def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
     Frequencies must be finite, and strictly positive whenever any edge
     carries a frequency-dependent gain law.
     """
-    f = _frequency_axis(graph, freqs)
-    stacks = graph._edge_table.stacks(f, ("direct", "feed", "loop", "collect"))
+    table = graph._edge_table
+    f = _frequency_axis(table, freqs)
+    stacks = table.stacks(f)
     return BlockSamples(freqs=f, **{name: np.moveaxis(s, -1, 0) for name, s in stacks.items()})
 
 
 def _receiver_side_samples(graph: PropagationGraph, freqs) -> tuple[np.ndarray, np.ndarray]:
-    """The direct and collect blocks of :func:`block_samples` alone."""
-    stacks = graph._edge_table.stacks(_frequency_axis(graph, freqs), ("direct", "collect"))
+    """The direct and collect blocks of :func:`block_samples` alone.
+
+    Only the receiver-side edges are tabulated, and the frequencies are
+    checked against their gains alone.
+    """
+    table = _EdgeTable.of(graph, ("direct", "collect"))
+    stacks = table.stacks(_frequency_axis(table, freqs))
     return np.moveaxis(stacks["direct"], -1, 0), np.moveaxis(stacks["collect"], -1, 0)
 
 
@@ -763,21 +778,8 @@ def graph_from_json(text: str) -> PropagationGraph:
         )
         for item in doc["edges"]
     )
-    graph = PropagationGraph(
-        n_tx=int(doc["n_t"]),
-        n_rx=int(doc["n_r"]),
-        n_scatterers=int(doc["n_s"]),
-        edges=edges,
-    )
+    counts = int(doc["n_t"]), int(doc["n_r"]), int(doc["n_s"])
+    positions = None
     if doc.get("positions") is not None:
-        positions = {
-            v: tuple(doc["positions"][i]) for i, v in enumerate(graph.vertices())
-        }
-        graph = PropagationGraph(
-            n_tx=graph.n_tx,
-            n_rx=graph.n_rx,
-            n_scatterers=graph.n_scatterers,
-            edges=edges,
-            positions=positions,
-        )
-    return graph
+        positions = {v: tuple(p) for v, p in zip(_vertices(*counts), doc["positions"])}
+    return PropagationGraph(*counts, edges=edges, positions=positions)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -92,14 +93,7 @@ class Box:
     bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
     def __post_init__(self) -> None:
-        bounds = tuple(
-            (float(lo), float(hi)) for lo, hi in self.bounds
-        )
-        if len(bounds) != 3:
-            raise ValueError("box needs exactly three axis ranges")
-        for lo, hi in bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-                raise ValueError(f"invalid axis range ({lo}, {hi})")
+        bounds = tuple(_pair(pair) for pair in _array(self.bounds, "three [low, high] pairs", 3))
         object.__setattr__(self, "bounds", bounds)
 
     @property
@@ -122,14 +116,10 @@ class Box:
 _DEFAULT_ROOM = Box(((0.0, 5.0), (0.0, 5.0), (0.0, 2.6)))
 
 
-def _room(value) -> Box:
-    return Box(tuple(_pair(pair) for pair in _array(value, "three [low, high] pairs", 3)))
-
-
 _ROOM = _Kind(
     _array_schema(_PAIR.schema, 3),
     _instance_of(Box),
-    parse=_room,
+    parse=Box,
     dump=lambda box: _lists(box.bounds),
 )
 
@@ -247,8 +237,6 @@ def _attempt_rngs(seed: int, attempt: int):
 def draw_positions(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Scatterer positions, i.i.d. uniform over the room; shape (n_scatterers, 3)."""
     box = config.region
-    if box.volume <= 0.0:
-        raise ValueError("room must have positive volume to place scatterers")
     return rng.uniform(box.lows, box.highs, size=(config.n_scatterers, 3))
 
 
@@ -364,6 +352,25 @@ def _position_table(config: ScenarioConfig, scatterer_points: np.ndarray):
     return table
 
 
+def _class_laws(
+    classes: Sequence[EdgeClass], delays: Sequence[float]
+) -> dict[EdgeClass, FrequencyLawGain]:
+    """The gain law of every direct, feed and collect class in ``classes``.
+
+    ``classes`` and ``delays`` run in parallel over the edges.  Feed and
+    collect laws carry their class's delay statistics, taken over its edges
+    in that order.
+    """
+    laws = {}
+    for cls in set(classes) - {EdgeClass.INTER_SCATTER}:
+        if cls is EdgeClass.DIRECT:
+            laws[cls] = FrequencyLawGain(cls)
+        else:
+            mu, inv_sq = _delay_stats([d for c, d in zip(classes, delays) if c is cls])
+            laws[cls] = FrequencyLawGain(cls, mean_delay_s=mu, inv_sq_delay_sum=inv_sq)
+    return laws
+
+
 def _build_edges(
     pairs: Sequence[tuple[VertexId, VertexId]],
     phases: np.ndarray,
@@ -377,60 +384,34 @@ def _build_edges(
     Returns the edges plus the realization's mean inter-scatterer delay and
     resolved shared gain (both ``None`` when no inter-scatterer edge exists).
     """
-    delays = {}
-    for src, dst in pairs:
-        d = float(
-            np.linalg.norm(np.subtract(positions[dst], positions[src]))
-        )
-        delays[(src, dst)] = d / speed_of_light
-
-    by_class: dict[EdgeClass, list[tuple[VertexId, VertexId]]] = {cls: [] for cls in EdgeClass}
-    for src, dst in pairs:
-        by_class[_CLASS_OF_ENDPOINTS[src.kind, dst.kind]].append((src, dst))
-
-    stats: dict[EdgeClass, tuple[float, float]] = {}
-    for cls in (EdgeClass.TX_SCATTER, EdgeClass.SCATTER_RX):
-        if by_class[cls]:
-            stats[cls] = _delay_stats([delays[p] for p in by_class[cls]])
+    delays = [
+        float(np.linalg.norm(np.subtract(positions[dst], positions[src]))) / speed_of_light
+        for src, dst in pairs
+    ]
+    classes = [_CLASS_OF_ENDPOINTS[src.kind, dst.kind] for src, dst in pairs]
+    laws = _class_laws(classes, delays)
 
     mu_es: float | None = None
     resolved_g: float | None = None
-    if by_class[EdgeClass.INTER_SCATTER]:
-        mu_es = float(
-            np.mean([delays[p] for p in by_class[EdgeClass.INTER_SCATTER]])
-        )
+    inter = [d for c, d in zip(classes, delays) if c is EdgeClass.INTER_SCATTER]
+    if inter:
+        mu_es = float(np.mean(inter))
         if inter_scatterer_gain is not None:
             resolved_g = float(inter_scatterer_gain)
         else:
             resolved_g = gain_from_slope(tail_slope_db_per_ns, mu_es)
-    out_degree: dict[VertexId, int] = {}
-    for src, _dst in by_class[EdgeClass.INTER_SCATTER]:
-        out_degree[src] = out_degree.get(src, 0) + 1
+    out_degree = Counter(
+        src for (src, _dst), cls in zip(pairs, classes) if cls is EdgeClass.INTER_SCATTER
+    )
 
-    def gain_for(src: VertexId, dst: VertexId):
-        cls = _CLASS_OF_ENDPOINTS[src.kind, dst.kind]
-        if cls is EdgeClass.DIRECT:
-            return FrequencyLawGain(EdgeClass.DIRECT)
-        if cls in stats:
-            mu, inv_sq = stats[cls]
-            return FrequencyLawGain(cls, mean_delay_s=mu, inv_sq_delay_sum=inv_sq)
+    def gain_for(src: VertexId, cls: EdgeClass) -> FrequencyLawGain:
         if cls is EdgeClass.INTER_SCATTER:
-            return FrequencyLawGain(
-                EdgeClass.INTER_SCATTER,
-                base_gain=resolved_g,
-                out_degree=out_degree[src],
-            )
-        raise EmptyEdgeClass(f"no {cls.value} edges to average over")
+            return FrequencyLawGain(cls, base_gain=resolved_g, out_degree=out_degree[src])
+        return laws[cls]
 
     edges = tuple(
-        Edge(
-            src=src,
-            dst=dst,
-            gain=gain_for(src, dst),
-            phase_rad=float(phases[i]),
-            delay_s=delays[(src, dst)],
-        )
-        for i, (src, dst) in enumerate(pairs)
+        Edge(src=src, dst=dst, gain=gain_for(src, cls), phase_rad=float(phase), delay_s=delay)
+        for (src, dst), cls, phase, delay in zip(pairs, classes, phases, delays)
     )
     return edges, mu_es, resolved_g
 
@@ -480,17 +461,14 @@ def generate_realization(
         pairs = draw_edges(config, edge_rng)
         phases = phase_rng.uniform(0.0, 2.0 * math.pi, size=len(pairs))
         positions = _position_table(config, points)
-        try:
-            edges, mu_es, resolved_g = _build_edges(
-                pairs,
-                phases,
-                positions,
-                config.speed_of_light,
-                config.inter_scatterer_gain,
-                config.tail_slope_db_per_ns,
-            )
-        except EmptyEdgeClass:
-            continue
+        edges, mu_es, resolved_g = _build_edges(
+            pairs,
+            phases,
+            positions,
+            config.speed_of_light,
+            config.inter_scatterer_gain,
+            config.tail_slope_db_per_ns,
+        )
         graph = PropagationGraph(
             n_tx=config.n_tx,
             n_rx=config.n_rx,
@@ -517,15 +495,17 @@ def generate_realization(
 def relocate_receiver(
     graph: PropagationGraph, rx_index: int, new_position
 ) -> PropagationGraph:
-    """Move one receiver and refresh the position-dependent edge parameters.
+    """Move one receiver and rebuild the receiver-side edges.
 
-    Keeps the edge set and every random phase.  Delays of edges into the
-    moved receiver are recomputed from geometry, and the gain laws of all
-    direct and scatterer-to-receiver edges are refreshed because their
-    class statistics depend on those delays.  Feed and loop edges are
-    untouched, so the scatterer-side blocks are bitwise identical across
-    moves.  Only graphs whose receiver-side edges carry in-room gain laws
-    can be relocated.
+    Keeps the edge set, the edge order and every random phase.  Each edge
+    into the moved receiver gets the delay ``new_dist / (old_dist / delay)``,
+    which recovers the propagation speed from its stored delay, so the
+    config is not needed here.  Every direct and scatterer-to-receiver edge
+    then gets its class's gain law rebuilt from the new delays, because the
+    scatterer-to-receiver statistics depend on them.  Feed and loop edges
+    are the very ``Edge`` objects of ``graph``, in the same order, so the
+    scatterer-side blocks cannot change.  Only graphs whose receiver-side
+    edges carry in-room gain laws can be relocated.
     """
     if graph.positions is None:
         raise MissingPositions("relocation needs vertex positions")
@@ -538,8 +518,9 @@ def relocate_receiver(
     positions = dict(graph.positions)
     positions[moved] = new_position
 
-    for e in graph.edges:
-        if e.dst.kind is VertexKind.RX and not (
+    receiver_side = [e for e in graph.edges if e.dst.kind is VertexKind.RX]
+    for e in receiver_side:
+        if not (
             isinstance(e.gain, FrequencyLawGain)
             and e.gain.law in (EdgeClass.DIRECT, EdgeClass.SCATTER_RX)
         ):
@@ -547,58 +528,20 @@ def relocate_receiver(
                 "relocation expects in-room gain laws on receiver-side edges"
             )
 
-    def distance(a: VertexId, b: VertexId) -> float:
-        return float(np.linalg.norm(np.subtract(positions[b], positions[a])))
+    def delay(e: Edge) -> float:
+        if e.dst != moved:
+            return e.delay_s
+        old_dist = float(np.linalg.norm(np.subtract(graph.positions[e.dst], graph.positions[e.src])))
+        new_dist = float(np.linalg.norm(np.subtract(positions[e.dst], positions[e.src])))
+        return new_dist / (old_dist / e.delay_s)
 
-    # Delay of any receiver-side edge, after the move.
-    new_delay = {}
-    speed = {}
-    for e in graph.edges:
-        if e.dst.kind is VertexKind.RX:
-            if e.dst == moved:
-                # Recover the propagation speed from the stored delay so the
-                # config is not needed here.
-                old_dist = float(
-                    np.linalg.norm(np.subtract(graph.positions[e.dst], graph.positions[e.src]))
-                )
-                speed[e] = old_dist / e.delay_s
-                new_delay[e] = distance(e.src, e.dst) / speed[e]
-            else:
-                new_delay[e] = e.delay_s
-
-    scatter_rx_delays = [
-        new_delay[e] for e in graph.edges if e.edge_class is EdgeClass.SCATTER_RX
-    ]
-    stats = _delay_stats(scatter_rx_delays) if scatter_rx_delays else None
-
-    rebuilt = []
-    for e in graph.edges:
-        if e.dst.kind is not VertexKind.RX:
-            rebuilt.append(e)
-            continue
-        if e.edge_class is EdgeClass.DIRECT:
-            gain = FrequencyLawGain(EdgeClass.DIRECT)
-        else:
-            mu, inv_sq = stats
-            gain = FrequencyLawGain(
-                EdgeClass.SCATTER_RX, mean_delay_s=mu, inv_sq_delay_sum=inv_sq
-            )
-        rebuilt.append(
-            Edge(
-                src=e.src,
-                dst=e.dst,
-                gain=gain,
-                phase_rad=e.phase_rad,
-                delay_s=new_delay[e],
-            )
-        )
-    return PropagationGraph(
-        n_tx=graph.n_tx,
-        n_rx=graph.n_rx,
-        n_scatterers=graph.n_scatterers,
-        edges=tuple(rebuilt),
-        positions=positions,
+    delays = [delay(e) for e in receiver_side]
+    laws = _class_laws([e.edge_class for e in receiver_side], delays)
+    rebuilt = (
+        replace(e, gain=laws[e.edge_class], delay_s=d) for e, d in zip(receiver_side, delays)
     )
+    edges = tuple(next(rebuilt) if e.dst.kind is VertexKind.RX else e for e in graph.edges)
+    return replace(graph, edges=edges, positions=positions)
 
 
 # -- Serialization ----------------------------------------------------------------

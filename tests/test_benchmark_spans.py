@@ -3,10 +3,12 @@
 ``perfbench/run.py::install_spans`` looks each function up by name, so a
 rename or deletion in revgraph breaks the traced benchmark run.  This test
 installs the spans on a fresh tracer, drives a small ``revgraph validate``
-through them, and removes them again; it only reads ``perfbench/``.
+and a small ``revgraph spatial`` through them, and removes them again; it
+only reads ``perfbench/``.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -25,18 +27,36 @@ def _revgraph_callables() -> dict:
     }
 
 
-def test_benchmark_spans_wrap_existing_functions(monkeypatch, capsys):
+def _traced_main(monkeypatch, argv):
+    """Run ``revgraph.cli.main(argv)`` with the benchmark's spans installed; the exit status and tracer."""
     monkeypatch.syspath_prepend(str(ROOT))
     install_spans = importlib.import_module("perfbench.run").install_spans
     tracer = importlib.import_module("perfbench.tracing").Tracer()
     before = _revgraph_callables()
     try:
         install_spans(tracer)
-        status = revgraph.cli.main(["validate", "--grid", "2e9,3e9,16"])
+        status = revgraph.cli.main(argv)
     finally:
         tracer.uninstall()
     assert _revgraph_callables() == before
+    return status, tracer
+
+
+def test_benchmark_spans_wrap_existing_functions(monkeypatch, capsys):
+    status, tracer = _traced_main(monkeypatch, ["validate", "--grid", "2e9,3e9,16"])
     assert status == 0, capsys.readouterr()
     for span in ("cli.main", "scenario.generate_realization", "graph.block_samples",
                  "transfer", "graph.walk_sum", "synthesis.impulse_response"):
+        assert tracer.calls(span), f"no call went through the {span} span"
+
+
+def test_benchmark_spans_see_the_spatial_sweep(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"spatial_points": 2}))
+    status, tracer = _traced_main(monkeypatch, [
+        "spatial", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--grid", "2e9,3e9,16",
+    ])
+    assert status == 0, capsys.readouterr()
+    for span in ("synthesis.spatial_spectrum", "scenario.relocate_receiver"):
         assert tracer.calls(span), f"no call went through the {span} span"

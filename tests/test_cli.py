@@ -628,6 +628,9 @@ def test_write_errors_name_the_file(monkeypatch, tmp_path, capsys, workers):
 
 def test_spec_validation_catches_bad_knobs():
     base = default_spec()
+    with pytest.raises(ValidationError) as info:
+        ExperimentSpec(scenario=None, mode=Mode.VALIDATE)
+    assert info.value.field == "scenario"
     with pytest.raises(ValidationError):
         ExperimentSpec(scenario=base.scenario, grids=(), mode=Mode.RESPONSE,
                        out_dir=None)

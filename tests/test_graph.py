@@ -486,6 +486,22 @@ def test_json_document_shape():
     assert set(entry["init"]) == {"kind", "index"}
 
 
+def test_json_builds_the_graph_once(monkeypatch):
+    graph = generate_realization(ScenarioConfig(seed=3), (2e9, 3e9)).graph
+    text = graph_to_json(graph)
+    checked = PropagationGraph.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        checked(self)
+
+    monkeypatch.setattr(PropagationGraph, "__post_init__", counting)
+    rebuilt = graph_from_json(text)
+    assert calls == [rebuilt]
+    assert rebuilt.positions == graph.positions
+
+
 def test_json_preserves_positions_and_laws():
     f = 1e9
     tau = 1.0 / (4.0 * math.pi * f)

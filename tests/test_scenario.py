@@ -144,6 +144,26 @@ def test_box_membership():
     assert box.volume == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ((0.0, 5.0), (0.0, 5.0), (1.5, 1.5)),
+        ((0.0, 5.0), (False, 5.0), (0.0, 2.6)),
+        ((0.0, 5.0), (0.0, 5.0), (0.0, math.inf)),
+        ((0.0, math.nan), (0.0, 5.0), (0.0, 2.6)),
+        ((0.0, 5.0), (0.0, 5.0)),
+    ],
+    ids=["flat", "bool", "infinite", "nan", "two-axes"],
+)
+def test_box_rejects_what_the_room_field_rejects(bounds):
+    room = next(f for f in revgraph.scenario._SCENARIO_FIELDS if f.name == "room")
+    with pytest.raises(ValueError) as from_box:
+        Box(bounds)
+    with pytest.raises(ValidationError) as from_field:
+        room.parse(bounds)
+    assert from_field.value.reason == str(from_box.value)
+
+
 # -- position draws ----------------------------------------------------------------
 
 
@@ -452,6 +472,11 @@ def test_relocation_updates_delays_and_keeps_phases():
             assert e.delay_s == pytest.approx(dist / c, rel=1e-12)
             original = graph.edge_between(e.src, e.dst)
             assert e.phase_rad == original.phase_rad
+    receiver_side = [e for e in moved.edges if e.dst.kind is VertexKind.RX]
+    assert receiver_side
+    for f in (2.0e9, 2.7e9):
+        for e in receiver_side:
+            assert float(e.gain.amplitude(f, e.delay_s)) == edge_gain(e, f, moved)
 
 
 def test_relocation_round_trip_restores_response():

@@ -597,6 +597,25 @@ def test_spatial_average_equals_naive_per_position_mean():
                                rtol=1e-9, atol=1e-30)
 
 
+def test_spatial_sweep_samples_the_whole_graph_once(monkeypatch):
+    import revgraph.synthesis as synthesis
+
+    realization = _small_realization(seed=83)
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    base = np.asarray(realization.graph.position(rx(0)))
+    positions = [tuple(base), tuple(base + 0.01)]
+    sampled = []
+    honest = synthesis.block_samples
+
+    def counting(graph, freqs):
+        sampled.append(graph)
+        return honest(graph, freqs)
+
+    monkeypatch.setattr(synthesis, "block_samples", counting)
+    spatial_spectrum(realization, positions, grid, hann_window(grid))
+    assert len(sampled) == 1 and sampled[0] is realization.graph
+
+
 def test_spatial_rejects_a_move_that_alters_the_feed(monkeypatch):
     import dataclasses
 
