@@ -37,7 +37,6 @@ from .graph import (
     PropagationGraph,
     VertexId,
     VertexKind,
-    block_samples,
     graph_from_json,
     graph_to_json,
     rx,
@@ -48,7 +47,7 @@ from ._fields import (
     _INTEGER, _NUMBER, _PAIR, _POINTS, _UNIT_INTERVAL, ValidationError, _array, _array_schema,
     _check_band, _check_fields, _Field, _instance_of, _interval, _Kind, _lists, _pair,
 )
-from .transfer import SpectralRadiusExceeded, _flat_loop_contracts, verify_contraction
+from .transfer import _loop_is_contractive
 
 if TYPE_CHECKING:
     from .synthesis import FrequencyGrid
@@ -414,22 +413,6 @@ def _build_edges(
         for (src, dst), cls, phase, delay in zip(pairs, classes, phases, delays)
     )
     return edges, mu_es, resolved_g
-
-
-def _loop_is_contractive(graph: PropagationGraph, freqs: np.ndarray) -> bool:
-    """Whether the scatterer loop block contracts at every frequency in ``freqs``.
-
-    A loop of frequency-flat gains (every generated loop) whose amplitude
-    norms certify it needs no block stack; any other loop is checked on
-    the blocks sampled at ``freqs``.
-    """
-    if _flat_loop_contracts(graph):
-        return True
-    try:
-        verify_contraction(block_samples(graph, freqs).loop, freqs)
-    except SpectralRadiusExceeded:
-        return False
-    return True
 
 
 def _band_edges(frequency_band) -> tuple[float, float]:

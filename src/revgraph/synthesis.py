@@ -30,13 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import _check_band, _integer, _number
-from .graph import PropagationGraph, VertexKind, _receiver_side_samples, block_samples
+from .graph import PropagationGraph, VertexKind, _receiver_side_samples
 from .scenario import ScenarioConfig, ScenarioRealization, generate_realization, relocate_receiver
 from .transfer import (
     BounceRange,
     SpectralRadiusExceededAt,
     TransferSample,
-    _graph_kernel,
+    _sample_slices,
+    _sample_system,
     bounce_slices,
 )
 
@@ -198,14 +199,6 @@ class ResponseSamples:
         return self.tensor[:, rx_index, tx_index]
 
 
-def _sampled_slices(
-    graph: PropagationGraph, grid: FrequencyGrid, bounce_ranges
-) -> list[np.ndarray]:
-    samples = block_samples(graph, grid.frequencies())
-    zt = _graph_kernel(graph, samples.loop, samples.freqs).solve(samples.feed)
-    return bounce_slices(samples.direct, samples.loop, samples.collect, zt, bounce_ranges)
-
-
 def sample_transfer(
     graph: PropagationGraph,
     grid: FrequencyGrid,
@@ -214,9 +207,11 @@ def sample_transfer(
     """Sample the (partial) transfer matrix at every grid frequency.
 
     One batched solve against (I - loop) serves all transmitter/receiver
-    pairs; the loop block's contraction is re-verified sample by sample.
+    pairs.  The loop's contraction is checked first: by one n x n norm
+    bound when every loop gain is frequency-flat and that bound certifies
+    it, sample by sample otherwise.
     """
-    (tensor,) = _sampled_slices(graph, grid, (bounce_range,))
+    (tensor,) = _sample_slices(graph, grid.frequencies(), (bounce_range,))
     return ResponseSamples(grid=grid, bounce_range=bounce_range, tensor=tensor)
 
 
@@ -230,7 +225,7 @@ def sample_transfer_slices(
     requested range needs.
     """
     bounce_ranges = tuple(bounce_ranges)
-    tensors = _sampled_slices(graph, grid, bounce_ranges)
+    tensors = _sample_slices(graph, grid.frequencies(), bounce_ranges)
     return tuple(
         ResponseSamples(grid=grid, bounce_range=r, tensor=t)
         for r, t in zip(bounce_ranges, tensors)
@@ -362,7 +357,7 @@ def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
 
 def _ensemble_run_powers(config, grid, bounce_ranges, window, rx_index, tx_index):
     realization = generate_realization(config, grid)
-    tensors = _sampled_slices(realization.graph, grid, bounce_ranges)
+    tensors = _sample_slices(realization.graph, grid.frequencies(), bounce_ranges)
     return [np.abs(_idft(t[:, rx_index, tx_index] * window.samples, grid)) ** 2 for t in tensors]
 
 
@@ -387,6 +382,7 @@ def ensemble_spectra(
     either way, so pooled results match the serial ones bit for bit and
     memory stays independent of ``n_runs``.
     """
+    n_runs = _integer(n_runs)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if window.grid != grid:
@@ -465,8 +461,9 @@ def spatial_spectrum(
     if window.grid != grid:
         raise LengthMismatch("window grid differs from the sampling grid")
     freqs = grid.frequencies()
-    base = block_samples(graph, freqs)
-    zt = _graph_kernel(graph, base.loop, freqs).solve(base.feed)
+    base, kernel = _sample_system(graph, freqs)
+    zt = kernel.solve(base.feed)
+    del kernel  # its factors are as large as the loop block; free them before the sweep
     scatter_side = tuple(
         e for e in graph.edges if e.dst.kind is not VertexKind.RX
     )

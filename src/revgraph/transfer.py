@@ -6,10 +6,13 @@ block stays below one, the full series and any bounce-order slice of it
 collapse to closed forms built around solves against (I - loop).  This
 module is the one home of that engine: :func:`verify_contraction` checks
 the precondition, :class:`PrecomputedKernel` solves against (I - loop),
-and :func:`bounce_slices` forms the slices.  Each takes one frequency or a
-stack of them, so the batched sampling in ``synthesis`` and the
-single-frequency functions below run the same code; one frequency is the
-m = 1 case of a stack.
+and :func:`bounce_slices` forms the slices.  Every solve of a graph starts
+at one entry, :func:`_sample_system`, which samples the blocks on a
+frequency array and returns them with their checked, factored kernel;
+:func:`_sample_slices` adds the solve of the feed and the slices.  The grid
+sampling and spatial sweeps in ``synthesis`` call them with a grid, and
+each single-frequency function below with ``[freq_hz]``: one frequency is
+the m = 1 case of a stack.
 
 Internally every stack is frequency-minor, (rows, cols, m), so the work is
 elementwise numpy arithmetic on contiguous rows of m samples:
@@ -32,11 +35,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import PropagationGraph, adjacency_blocks
+from .graph import BlockSamples, PropagationGraph, adjacency_blocks, block_samples
 
 __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
@@ -123,16 +126,12 @@ def _stack(a) -> np.ndarray:
     Views of :func:`block_samples` storage come back without a copy.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 2:
-        return np.ascontiguousarray(a[..., None])
     lead = math.prod(a.shape[:-2])
     return np.ascontiguousarray(np.moveaxis(a.reshape((lead,) + a.shape[-2:]), 0, -1))
 
 
 def _unstack(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     """Inverse of :func:`_stack` for leading shape ``lead``; a view."""
-    if lead == ():
-        return a[..., 0]
     return np.moveaxis(a, -1, 0).reshape(lead + a.shape[:2])
 
 
@@ -188,7 +187,7 @@ def verify_contraction(loop: np.ndarray, freqs) -> None:
     solved by ``np.linalg.solve``.  The engine's own checks go one step
     further for graphs whose loop gains are all frequency-flat: the norms of
     the amplitude matrix bound every sample at once, so one n x n
-    computation replaces the per-sample sums (see :func:`_graph_kernel`).
+    computation replaces the per-sample sums (see :func:`_sample_system`).
     Raw arrays, as here, always get the per-sample check.
     """
     loop = np.asarray(loop)
@@ -206,8 +205,8 @@ class BounceRange:
         if self.first < 0 or int(self.first) != self.first:
             raise ValueError(f"first must be a nonnegative integer, got {self.first}")
         object.__setattr__(self, "first", int(self.first))
-        if not (isinstance(self.last, int) or math.isinf(self.last)):
-            if float(self.last) != int(self.last):
+        if not (isinstance(self.last, int) or self.last == math.inf):
+            if not (math.isfinite(self.last) and float(self.last) == int(self.last)):
                 raise ValueError(f"last must be an integer or infinity, got {self.last}")
             object.__setattr__(self, "last", int(self.last))
         if not math.isinf(self.last) and self.last < self.first:
@@ -357,24 +356,38 @@ class PrecomputedKernel:
         return out[:, 0] if vector else out
 
 
-def _graph_kernel(graph: PropagationGraph, loop: np.ndarray, frequency_hz) -> PrecomputedKernel:
-    """:meth:`PrecomputedKernel.from_loop_block` for a loop block of ``graph``.
+def _sample_system(graph: PropagationGraph, freqs) -> tuple[BlockSamples, PrecomputedKernel]:
+    """The blocks of ``graph`` sampled once on ``freqs``, and their checked, factored kernel.
 
-    When every loop edge of ``graph`` has a frequency-flat gain, the norm
-    bound of its amplitude matrix certifies all samples at once.
+    The kernel is built with the graph's flat bound: when every loop edge
+    has a frequency-flat gain, the norm bound of the loop's amplitude
+    matrix certifies all samples at once.
     """
-    return PrecomputedKernel._checked(loop, frequency_hz, graph._edge_table.loop_bound)
+    samples = block_samples(graph, freqs)
+    kernel = PrecomputedKernel._checked(samples.loop, samples.freqs, graph._edge_table.loop_bound)
+    return samples, kernel
 
 
-def _flat_loop_contracts(graph: PropagationGraph) -> bool:
-    """Whether the flat-gain norm bound alone certifies the loop at every frequency."""
+def _loop_is_contractive(graph: PropagationGraph, freqs) -> bool:
+    """Whether the scatterer loop of ``graph`` contracts at every frequency in ``freqs``.
+
+    A flat bound that certifies the loop decides without sampling; any
+    other loop is sampled at ``freqs`` and checked sample by sample.
+    """
     bound = graph._edge_table.loop_bound
-    return bound is not None and bound <= SPECTRAL_RADIUS_LIMIT
+    if bound is not None and bound <= SPECTRAL_RADIUS_LIMIT:
+        return True
+    try:
+        verify_contraction(block_samples(graph, freqs).loop, freqs)
+    except SpectralRadiusExceeded:
+        return False
+    return True
 
 
 def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
     """Contraction-checked (I - loop) for ``graph`` at one frequency."""
-    return _graph_kernel(graph, adjacency_blocks(graph, freq_hz).loop, freq_hz)
+    _, kernel = _sample_system(graph, [freq_hz])
+    return replace(kernel, frequency_hz=freq_hz)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,14 +402,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             acc = out[i, col]
             for j in range(n):
                 acc += a[i, j] * b[j, col]
-    return out
-
-
-def _loop_steps(loop: np.ndarray, start: np.ndarray, steps: int) -> list[np.ndarray]:
-    """[start, loop @ start, ..., loop^steps @ start] on frequency-minor stacks."""
-    out = [start]
-    for _ in range(steps):
-        out.append(_matmul(loop, out[-1]))
     return out
 
 
@@ -415,7 +420,9 @@ def bounce_slices(direct, loop, collect, zt, bounce_ranges) -> list[np.ndarray]:
     direct, loop, collect, zt = (_stack(a) for a in (direct, loop, collect, zt))
     leads = [max(r.first, 1) - 1 for r in bounce_ranges]
     top = max(leads + [int(r.last) for r in bounce_ranges if not r.unbounded], default=0)
-    powers = _loop_steps(loop, zt, top)
+    powers = [zt]
+    for _ in range(top):
+        powers.append(_matmul(loop, powers[-1]))
     slices = []
     for r, first in zip(bounce_ranges, leads):
         w = powers[first] if r.unbounded else powers[first] - powers[int(r.last)]
@@ -424,6 +431,14 @@ def bounce_slices(direct, loop, collect, zt, bounce_ranges) -> list[np.ndarray]:
             matrix += direct
         slices.append(_unstack(matrix, lead))
     return slices
+
+
+def _sample_slices(graph: PropagationGraph, freqs, bounce_ranges) -> list[np.ndarray]:
+    """Bounce-order slices of ``graph`` on ``freqs``, one (m, n_rx, n_tx) stack per range."""
+    samples, kernel = _sample_system(graph, freqs)
+    zt = kernel.solve(samples.feed)
+    del kernel  # its factors are as large as the loop block; free them before slicing
+    return bounce_slices(samples.direct, samples.loop, samples.collect, zt, bounce_ranges)
 
 
 def transfer_matrix(graph: PropagationGraph, freq_hz: float) -> TransferSample:
@@ -439,8 +454,10 @@ def k_bounce_matrix(graph: PropagationGraph, freq_hz: float, k: int) -> Transfer
     if k == 0:
         matrix = blocks.direct.copy()
     else:
-        w = _loop_steps(_stack(blocks.loop), _stack(blocks.feed), k - 1)[-1]
-        matrix = _unstack(_matmul(_stack(blocks.collect), w), ())
+        # the k:inf slice started at feed in place of Z is collect @ loop^(k-1) @ feed
+        (matrix,) = bounce_slices(
+            blocks.direct, blocks.loop, blocks.collect, blocks.feed, (BounceRange.tail(k),)
+        )
     return TransferSample(float(freq_hz), matrix, BounceRange.exactly(k))
 
 
@@ -448,12 +465,8 @@ def partial_transfer_matrix(
     graph: PropagationGraph, freq_hz: float, bounce_range: BounceRange
 ) -> TransferSample:
     """Transfer matrix restricted to bounce orders in ``bounce_range``."""
-    blocks = adjacency_blocks(graph, freq_hz)
-    kernel = _graph_kernel(graph, blocks.loop, freq_hz)
-    (matrix,) = bounce_slices(
-        blocks.direct, blocks.loop, blocks.collect, kernel.solve(blocks.feed), (bounce_range,)
-    )
-    return TransferSample(float(freq_hz), matrix, bounce_range)
+    (matrix,) = _sample_slices(graph, [freq_hz], (bounce_range,))
+    return TransferSample(float(freq_hz), matrix[0], bounce_range)
 
 
 def truncation_error(
@@ -471,5 +484,5 @@ def scatterer_signal(graph: PropagationGraph, freq_hz: float, x: np.ndarray) -> 
     x = np.asarray(x, dtype=complex)
     if x.shape != (graph.n_tx,):
         raise ValueError(f"input vector must have shape ({graph.n_tx},), got {x.shape}")
-    blocks = adjacency_blocks(graph, freq_hz)
-    return _graph_kernel(graph, blocks.loop, freq_hz).solve(blocks.feed @ x)
+    samples, kernel = _sample_system(graph, [freq_hz])
+    return kernel.solve(samples.feed[0] @ x)

@@ -45,7 +45,7 @@ from revgraph.graph import (
 )
 from revgraph.scenario import ScenarioConfig, generate_realization
 from revgraph.synthesis import FrequencyGrid, sample_transfer
-from revgraph.transfer import PrecomputedKernel, _graph_kernel, transfer_matrix
+from revgraph.transfer import PrecomputedKernel, _sample_system, transfer_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,7 +301,7 @@ def test_stack_solves_equal_single_frequency_solves_bitwise():
         freqs = grid.frequencies()
         samples = block_samples(graph, freqs)
         stacked = PrecomputedKernel.from_loop_block(samples.loop, freqs).solve(samples.feed)
-        certified = _graph_kernel(graph, samples.loop, freqs).solve(samples.feed)
+        certified = _sample_system(graph, freqs)[1].solve(samples.feed)
         np.testing.assert_array_equal(certified, stacked)
         tensor = sample_transfer(graph, grid).tensor
         for m in range(grid.n_samples):

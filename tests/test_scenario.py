@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import revgraph.scenario
+import revgraph.transfer
 from revgraph.graph import (
     ConstantGain,
     Edge,
@@ -416,7 +417,7 @@ def test_acceptance_builds_no_block_stack_and_agrees_with_the_stack_check(monkey
         raise AssertionError("acceptance assembled a block stack")
 
     monkeypatch.setattr(revgraph.scenario, "_loop_is_contractive", record)
-    monkeypatch.setattr(revgraph.scenario, "block_samples", no_stack)
+    monkeypatch.setattr(revgraph.transfer, "block_samples", no_stack)
     for seed in range(50):
         _default_realization(seed)
     monkeypatch.undo()
@@ -477,6 +478,23 @@ def test_relocation_updates_delays_and_keeps_phases():
     for f in (2.0e9, 2.7e9):
         for e in receiver_side:
             assert float(e.gain.amplitude(f, e.delay_s)) == edge_gain(e, f, moved)
+
+
+def test_relocation_keeps_the_other_receiver_in_place():
+    config = ScenarioConfig(seed=3, tx_positions=((1.78, 1.0, 1.5), (3.0, 2.0, 1.0)),
+                            rx_positions=((4.18, 4.0, 1.5), (1.0, 4.0, 1.2)))
+    graph = generate_realization(config, BAND).graph
+    for moved_index, other in ((0, rx(1)), (1, rx(0))):
+        moved = relocate_receiver(graph, moved_index, (3.0, 3.5, 1.2))
+        np.testing.assert_array_equal(moved.position(other), graph.position(other))
+        into_other = [(a, b) for a, b in zip(graph.edges, moved.edges) if a.dst == other]
+        assert into_other
+        for before, after in into_other:
+            assert after.dst == other and after.delay_s == before.delay_s
+        receiver_side = [e for e in moved.edges if e.dst.kind is VertexKind.RX]
+        for f in (2.0e9, 2.7e9):
+            for e in receiver_side:
+                assert float(e.gain.amplitude(f, e.delay_s)) == edge_gain(e, f, moved)
 
 
 def test_relocation_round_trip_restores_response():

@@ -88,6 +88,11 @@ def _flat_edge(a, b, g, d, phase=0.0):
     return Edge(src=a, dst=b, gain=ConstantGain(g), phase_rad=phase, delay_s=d)
 
 
+# two transmitters and two receivers in the default room
+TWO_BY_TWO = ScenarioConfig(seed=3, tx_positions=((1.78, 1.0, 1.5), (3.0, 2.0, 1.0)),
+                            rx_positions=((4.18, 4.0, 1.5), (1.0, 4.0, 1.2)))
+
+
 def _small_realization(seed=0, n_scatterers=6):
     config = ScenarioConfig(seed=seed, n_scatterers=n_scatterers)
     return generate_realization(config, BAND)
@@ -509,6 +514,15 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     assert sizes == [2]
 
 
+@pytest.mark.parametrize("n_runs, message", [(2.5, "expected an integer"),
+                                              (True, "expected an integer"),
+                                              (0, ">= 1")])
+def test_ensemble_run_count_must_be_a_positive_integer(n_runs, message):
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    with pytest.raises(ValueError, match=message):
+        ensemble_spectra(ScenarioConfig(), grid, n_runs, hann_window(grid))
+
+
 def test_ensemble_memory_does_not_grow_with_runs():
     # Powers are summed as runs arrive, so peak memory must not hold one
     # array per run: the peak may grow by less than one M-sample float64
@@ -597,21 +611,42 @@ def test_spatial_average_equals_naive_per_position_mean():
                                rtol=1e-9, atol=1e-30)
 
 
+def test_spatial_average_of_every_pair_equals_naive_per_position_mean():
+    from revgraph.scenario import relocate_receiver
+
+    realization = generate_realization(TWO_BY_TWO, BAND)
+    graph = realization.graph
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    window = hann_window(grid)
+    offsets = [(0.0, 0.0, 0.0), (0.01, 0.0, 0.0), (0.0, 0.01, 0.0), (0.01, 0.01, 0.0)]
+    for rx_index, tx_index in ((1, 0), (1, 1), (0, 1)):
+        base = np.asarray(graph.position(rx(rx_index)))
+        positions = [tuple(base + np.asarray(o)) for o in offsets]
+        fast = spatial_spectrum(realization, positions, grid, window,
+                                rx_index=rx_index, tx_index=tx_index)
+        naive = [
+            impulse_response(sample_transfer(relocate_receiver(graph, rx_index, p), grid), window,
+                             rx_index=rx_index, tx_index=tx_index).power()
+            for p in positions
+        ]
+        np.testing.assert_allclose(fast.power, np.mean(naive, axis=0), rtol=1e-12, atol=0.0)
+
+
 def test_spatial_sweep_samples_the_whole_graph_once(monkeypatch):
-    import revgraph.synthesis as synthesis
+    import revgraph.transfer as transfer
 
     realization = _small_realization(seed=83)
     grid = FrequencyGrid(2e9, 3e9, 16)
     base = np.asarray(realization.graph.position(rx(0)))
     positions = [tuple(base), tuple(base + 0.01)]
     sampled = []
-    honest = synthesis.block_samples
+    honest = transfer.block_samples
 
     def counting(graph, freqs):
         sampled.append(graph)
         return honest(graph, freqs)
 
-    monkeypatch.setattr(synthesis, "block_samples", counting)
+    monkeypatch.setattr(transfer, "block_samples", counting)
     spatial_spectrum(realization, positions, grid, hann_window(grid))
     assert len(sampled) == 1 and sampled[0] is realization.graph
 

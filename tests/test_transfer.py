@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+import revgraph.transfer
 from revgraph.graph import (
     ConstantGain,
     Edge,
@@ -42,10 +43,10 @@ from revgraph.transfer import (
     NumericalFailure,
     PrecomputedKernel,
     SPECTRAL_RADIUS_LIMIT,
+    SingularSystem,
     SpectralRadiusExceeded,
     SpectralRadiusExceededAt,
-    _flat_loop_contracts,
-    _graph_kernel,
+    _sample_system,
     k_bounce_matrix,
     make_kernel,
     partial_transfer_matrix,
@@ -203,6 +204,40 @@ def test_loop_certified_only_by_eigenvalues_goes_to_the_pivoted_solve(monkeypatc
         assert residual < 1e-12
 
 
+def _eigenvalue_certified_graph():
+    # the flat loop [[0, 3], [0.01, 0]]: norm bound 3, eigenvalues about +-0.17
+    edges = (_edge(tx(0), scatterer(0), 0.5, 0.1, 2e-9),
+             _edge(tx(0), scatterer(1), 0.4, 0.9, 3e-9),
+             _edge(scatterer(1), scatterer(0), 3.0, 0.7, 1e-9),
+             _edge(scatterer(0), scatterer(1), 0.01, 0.4, 2e-9),
+             _edge(scatterer(0), rx(0), 0.5, 0.2, 3e-9))
+    return PropagationGraph(n_tx=1, n_rx=1, n_scatterers=2, edges=edges)
+
+
+def test_acceptance_samples_a_loop_its_flat_bound_leaves_open(monkeypatch):
+    graph = _eigenvalue_certified_graph()
+    assert graph._edge_table.loop_bound == pytest.approx(3.0)
+    sampled = []
+    honest = revgraph.transfer.block_samples
+
+    def counting(graph, freqs):
+        sampled.append(graph)
+        return honest(graph, freqs)
+
+    monkeypatch.setattr(revgraph.transfer, "block_samples", counting)
+    assert _loop_is_contractive(graph, np.linspace(2e9, 3e9, 64))
+    assert len(sampled) == 1 and sampled[0] is graph
+
+
+def test_a_failed_pivoted_solve_raises_singular_system(monkeypatch):
+    def broken(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    with pytest.raises(SingularSystem):
+        transfer_matrix(_eigenvalue_certified_graph(), PROBE_HZ)
+
+
 def test_default_realization_needs_no_lapack_solve(monkeypatch):
     grid = FrequencyGrid(2e9, 3e9, 256)
     graph = generate_realization(ScenarioConfig(seed=4), grid).graph
@@ -223,14 +258,14 @@ def test_flat_and_per_sample_certificates_agree_at_the_limit(side):
     freqs = np.linspace(2e9, 3e9, 64)
     loop = np.array(block_samples(graph, freqs).loop)
     contracts = side < 0
-    assert _flat_loop_contracts(graph) is contracts
+    assert (graph._edge_table.loop_bound <= SPECTRAL_RADIUS_LIMIT) is contracts
     assert _loop_is_contractive(graph, freqs) is contracts
     if contracts:
         verify_contraction(loop, freqs)
-        _graph_kernel(graph, loop, freqs)
+        _sample_system(graph, freqs)
     else:
         for check in (lambda: verify_contraction(loop, freqs),
-                      lambda: _graph_kernel(graph, loop, freqs)):
+                      lambda: _sample_system(graph, freqs)):
             with pytest.raises(SpectralRadiusExceededAt) as info:
                 check()
             assert info.value.sample_index == 0
@@ -356,6 +391,11 @@ def test_bounce_range_validation_and_labels():
         BounceRange(3, 1)
     with pytest.raises(ValueError):
         BounceRange(-1)
+    for last in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="last"):
+            BounceRange(0, last)
+    assert BounceRange(0, 3.0).last == 3
+    assert isinstance(BounceRange(0, 3.0).last, int)
 
 
 # -- truncation tail ----------------------------------------------------------
