@@ -487,7 +487,8 @@ class _EdgeTable:
 
         Each edge writes cos and sin of phase - 2 pi delay f into its row
         and then scales it by its amplitude, amplitude first: bit for bit
-        the samples of :meth:`Edge.transfer_value`.
+        the samples of :meth:`Edge.transfer_value`.  The storage is fresh
+        and writable; the caller owns it.
         """
         out = {}
         for name, rows in self.rows.items():
@@ -499,7 +500,6 @@ class _EdgeTable:
                 np.sin(x, out=sample.imag)
                 amplitude = row.gain.amplitude(f, row.delay_s) if row.flat is None else row.flat
                 np.multiply(amplitude, sample, out=sample)
-            stack.setflags(write=False)
             out[name] = stack
         return out
 
@@ -515,27 +515,34 @@ def _frequency_axis(table: _EdgeTable, freqs) -> np.ndarray:
     return f
 
 
+def _block_stacks(graph: PropagationGraph, freqs) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The checked frequency axis and writable frequency-minor blocks of ``graph`` on it."""
+    table = graph._edge_table
+    f = _frequency_axis(table, freqs)
+    return f, table.stacks(f)
+
+
 def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
     """Evaluate all adjacency blocks of ``graph`` on a frequency axis.
 
     Frequencies must be finite, and strictly positive whenever any edge
-    carries a frequency-dependent gain law.
+    carries a frequency-dependent gain law.  The blocks are read-only.
     """
-    table = graph._edge_table
-    f = _frequency_axis(table, freqs)
-    stacks = table.stacks(f)
+    f, stacks = _block_stacks(graph, freqs)
+    for stack in stacks.values():
+        stack.setflags(write=False)
     return BlockSamples(freqs=f, **{name: np.moveaxis(s, -1, 0) for name, s in stacks.items()})
 
 
 def _receiver_side_samples(graph: PropagationGraph, freqs) -> tuple[np.ndarray, np.ndarray]:
-    """The direct and collect blocks of :func:`block_samples` alone.
+    """The direct and collect blocks of ``graph`` alone, frequency-minor (rows, cols, m).
 
     Only the receiver-side edges are tabulated, and the frequencies are
     checked against their gains alone.
     """
     table = _EdgeTable.of(graph, ("direct", "collect"))
     stacks = table.stacks(_frequency_axis(table, freqs))
-    return np.moveaxis(stacks["direct"], -1, 0), np.moveaxis(stacks["collect"], -1, 0)
+    return stacks["direct"], stacks["collect"]
 
 
 def adjacency_blocks(graph: PropagationGraph, freq_hz: float) -> AdjacencyBlocks:

@@ -36,9 +36,9 @@ from .transfer import (
     BounceRange,
     SpectralRadiusExceededAt,
     TransferSample,
+    _matmul,
     _sample_slices,
-    _sample_system,
-    bounce_slices,
+    _sample_solution,
 )
 
 __all__ = [
@@ -220,9 +220,10 @@ def sample_transfer_slices(
 ) -> tuple[ResponseSamples, ...]:
     """Sample several bounce-order slices while sharing the frequency solves.
 
-    The loop products loop^j @ Z are shared as well: they are formed once,
-    one matrix-vector step per bounce order, up to the largest order any
-    requested range needs.
+    The bounce-order products are shared as well: collect @ loop^j is
+    formed once, one step per bounce order up to the largest order any
+    requested range needs, and multiplied by the solved feed once per
+    order.
     """
     bounce_ranges = tuple(bounce_ranges)
     tensors = _sample_slices(graph, grid.frequencies(), bounce_ranges)
@@ -448,7 +449,9 @@ def spatial_spectrum(
     Each placement moves the receiver with :func:`relocate_receiver` and
     samples only its receiver-side edges (delays and gain laws of direct and
     scatterer-to-receiver edges); the scatterer-side blocks and the
-    per-frequency solves are computed once and shared.  That sharing is
+    per-frequency solves are computed once and shared.  The solved feed
+    Z = (I - loop)^-1 feed is all a placement needs: its response is
+    collect @ Z + direct, so the loop block is not kept.  That sharing is
     guarded: a move must keep the transmitter and scatterer counts and give
     back the very scatterer-side ``Edge`` objects, in the same order, which
     fixes the feed and loop blocks.  A move that does not raises
@@ -461,9 +464,7 @@ def spatial_spectrum(
     if window.grid != grid:
         raise LengthMismatch("window grid differs from the sampling grid")
     freqs = grid.frequencies()
-    base, kernel = _sample_system(graph, freqs)
-    zt = kernel.solve(base.feed)
-    del kernel  # its factors are as large as the loop block; free them before the sweep
+    _, _, zt = _sample_solution(graph, freqs)
     scatter_side = tuple(
         e for e in graph.edges if e.dst.kind is not VertexKind.RX
     )
@@ -480,8 +481,8 @@ def spatial_spectrum(
         ):
             raise RuntimeError("receiver move altered scatterer-side edges")
         direct, collect = _receiver_side_samples(moved, freqs)
-        (tensor,) = bounce_slices(direct, base.loop, collect, zt, (BounceRange.full(),))
-        y = _idft(tensor[:, rx_index, tx_index] * window.samples, grid)
+        response = _matmul(collect, zt) + direct
+        y = _idft(response[rx_index, tx_index] * window.samples, grid)
         total += np.abs(y) ** 2
     return DelayPowerSpectrum(
         power=total / len(positions),

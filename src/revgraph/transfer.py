@@ -27,6 +27,10 @@ elementwise numpy arithmetic on contiguous rows of m samples:
   make no interchanges, and under either dominance the growth factor is at
   most 2.  Samples certified only by eigenvalues carry no such guarantee
   and are solved by ``np.linalg.solve``, which pivots.
+* A sampled solve holds one n x n x m buffer: the kernel factors I - loop
+  in the loop block's own storage.  Bounce-order slices need the loop
+  after the solve only through products collect @ loop^j, so those are
+  formed on the receiver side before the factorization.
 * Products multiply whole rows of equal shape, never in place, so one
   sample and a stack agree bit for bit.
 """
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import BlockSamples, PropagationGraph, adjacency_blocks, block_samples
+from .graph import PropagationGraph, _block_stacks, adjacency_blocks, block_samples
 
 __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
@@ -144,12 +149,14 @@ def _certify(loop: np.ndarray, freqs: np.ndarray, bound: float | None) -> np.nda
     n = loop.shape[0]
     if n == 0 or (bound is not None and bound <= SPECTRAL_RADIUS_LIMIT):
         return np.empty(0, dtype=np.intp)
-    magnitude = np.abs(loop)
-    # Sums in index order, so that one sample and a stack add alike.
-    columns, rows = magnitude[0].copy(), magnitude[:, 0].copy()
-    for i in range(1, n):
-        columns += magnitude[i]
-        rows += magnitude[:, i]
+    # Sums in index order, so that one sample and a stack add alike; |loop|
+    # is taken one row at a time.
+    columns, rows = np.zeros(loop.shape[1:]), np.zeros(loop.shape[1:])
+    for i in range(n):
+        magnitude = np.abs(loop[i])
+        columns += magnitude
+        for j in range(n):
+            rows[i] += magnitude[j]
     bounds = np.minimum(columns.max(axis=0), rows.max(axis=0))
     # NaN bounds are undecided too, so the eigensolver reports them
     suspects = np.nonzero(~(bounds <= SPECTRAL_RADIUS_LIMIT))[0]
@@ -202,8 +209,13 @@ class BounceRange:
     last: int | float = math.inf
 
     def __post_init__(self) -> None:
-        if self.first < 0 or int(self.first) != self.first:
-            raise ValueError(f"first must be a nonnegative integer, got {self.first}")
+        first = self.first
+        if (
+            isinstance(first, bool)
+            or not isinstance(first, numbers.Real)
+            or not (math.isfinite(first) and first >= 0 and int(first) == first)
+        ):
+            raise ValueError(f"first must be a nonnegative integer, got {first!r}")
         object.__setattr__(self, "first", int(self.first))
         if not (isinstance(self.last, int) or self.last == math.inf):
             if not (math.isfinite(self.last) and float(self.last) == int(self.last)):
@@ -307,6 +319,11 @@ class PrecomputedKernel:
     pivot search costs no stability.  Samples that only eigenvalues certify
     have no such guarantee; they keep their dense systems and go to
     ``np.linalg.solve``, which pivots.
+
+    The factors overwrite the loop samples they are built from.  The engine
+    hands over the loop block's own storage, so a sampled solve holds one
+    n x n x m buffer; :meth:`from_loop_block` factors a copy and leaves its
+    input unchanged.
     """
 
     frequency_hz: float | np.ndarray
@@ -315,22 +332,24 @@ class PrecomputedKernel:
 
     @classmethod
     def from_loop_block(cls, loop: np.ndarray, frequency_hz) -> "PrecomputedKernel":
-        return cls._checked(loop, frequency_hz, None)
+        """Check and factor a copy of one loop block (n, n) or a stack (..., n, n)."""
+        loop = np.asarray(loop)
+        freqs = np.broadcast_to(frequency_hz, loop.shape[:-2]).ravel()
+        kernel = cls._checked(_stack(loop).copy(), freqs, None)
+        return replace(kernel, frequency_hz=frequency_hz)
 
     @classmethod
-    def _checked(cls, loop, frequency_hz, bound: float | None) -> "PrecomputedKernel":
-        loop = np.asarray(loop)
-        stack = _stack(loop)
-        freqs = np.broadcast_to(frequency_hz, loop.shape[:-2]).ravel()
+    def _checked(cls, stack: np.ndarray, freqs, bound: float | None) -> "PrecomputedKernel":
+        """Check the frequency-minor loop stack (n, n, m), then factor I - loop over it in place."""
         pivoted = _certify(stack, freqs, bound)
         n = stack.shape[0]
-        system = np.subtract(np.eye(n)[..., None], stack, order="C")
+        np.subtract(np.eye(n)[..., None], stack, out=stack)
         dense = None
         if pivoted.size:
-            dense = (pivoted, np.moveaxis(system[:, :, pivoted], -1, 0))
-            system[:, :, pivoted] = np.eye(n)[..., None]  # eliminated harmlessly, then replaced
-        _factor(system)
-        return cls(frequency_hz, system, dense)
+            dense = (pivoted, np.moveaxis(stack[:, :, pivoted], -1, 0))
+            stack[:, :, pivoted] = np.eye(n)[..., None]  # eliminated harmlessly, then replaced
+        _factor(stack)
+        return cls(freqs, stack, dense)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - loop) @ z = rhs for one or more right-hand-side columns.
@@ -343,29 +362,42 @@ class PrecomputedKernel:
             return rhs.copy()
         vector = rhs.ndim == 1
         columns = rhs[:, None] if vector else rhs
-        b = _stack(columns).copy()
-        _substitute(self._system, b)
+        out = _unstack(self._solve_stack(_stack(columns).copy()), columns.shape[:-2])
+        return out[:, 0] if vector else out
+
+    def _solve_stack(self, b: np.ndarray) -> np.ndarray:
+        """Overwrite the frequency-minor right-hand sides ``b`` (n, cols, m) with the solution."""
+        dense = None
         if self._pivoted is not None:
             samples, systems = self._pivoted
             try:
-                z = np.linalg.solve(systems, np.moveaxis(_stack(columns)[:, :, samples], -1, 0))
+                dense = np.linalg.solve(systems, np.moveaxis(b[:, :, samples], -1, 0))
             except np.linalg.LinAlgError as exc:
                 raise SingularSystem(f"(I - loop) solve failed: {exc}") from exc
-            b[:, :, samples] = np.moveaxis(z, 0, -1)
-        out = _unstack(b, columns.shape[:-2])
-        return out[:, 0] if vector else out
+        _substitute(self._system, b)
+        if dense is not None:
+            b[:, :, samples] = np.moveaxis(dense, 0, -1)
+        return b
 
 
-def _sample_system(graph: PropagationGraph, freqs) -> tuple[BlockSamples, PrecomputedKernel]:
+def _sample_system(
+    graph: PropagationGraph, freqs, top: int = 0
+) -> tuple[dict[str, np.ndarray], PrecomputedKernel, list[np.ndarray]]:
     """The blocks of ``graph`` sampled once on ``freqs``, and their checked, factored kernel.
 
+    Returns the frequency-minor ``direct``, ``feed`` and ``collect`` blocks,
+    which the caller owns; the kernel, which factors I - loop in the loop
+    block's own storage; and u_j = collect @ loop^j for j <= ``top``
+    (:func:`_collect_powers`), formed before the factors overwrite the loop.
     The kernel is built with the graph's flat bound: when every loop edge
     has a frequency-flat gain, the norm bound of the loop's amplitude
     matrix certifies all samples at once.
     """
-    samples = block_samples(graph, freqs)
-    kernel = PrecomputedKernel._checked(samples.loop, samples.freqs, graph._edge_table.loop_bound)
-    return samples, kernel
+    freqs, blocks = _block_stacks(graph, freqs)
+    loop = blocks.pop("loop")
+    powers = _collect_powers(loop, blocks["collect"], top)
+    kernel = PrecomputedKernel._checked(loop, freqs, graph._edge_table.loop_bound)
+    return blocks, kernel, powers
 
 
 def _loop_is_contractive(graph: PropagationGraph, freqs) -> bool:
@@ -386,59 +418,102 @@ def _loop_is_contractive(graph: PropagationGraph, freqs) -> bool:
 
 def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
     """Contraction-checked (I - loop) for ``graph`` at one frequency."""
-    _, kernel = _sample_system(graph, [freq_hz])
+    _, kernel, _ = _sample_system(graph, [freq_hz])
     return replace(kernel, frequency_hz=freq_hz)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, support=None) -> np.ndarray:
     """a @ b per sample for frequency-minor stacks (rows, n, m) and (n, cols, m).
 
-    Terms are added in index order, one frequency row at a time.
+    Terms are added in index order, one frequency row at a time.  With
+    ``support``, column ``col`` of ``b`` is taken to be zero outside the
+    rows ``support[col]``, whose terms alone are added.
     """
     rows, n, m = a.shape
     out = np.zeros((rows, b.shape[1], m), dtype=complex)
-    for i in range(rows):
-        for col in range(b.shape[1]):
+    for col in range(b.shape[1]):
+        terms = range(n) if support is None else support[col]
+        for i in range(rows):
             acc = out[i, col]
-            for j in range(n):
+            for j in terms:
                 acc += a[i, j] * b[j, col]
     return out
+
+
+def _collect_powers(loop: np.ndarray, collect: np.ndarray, top: int) -> list[np.ndarray]:
+    """u_0 = collect and u_(j+1) = u_j @ loop up to u_top, on frequency-minor stacks.
+
+    The loop entries that are zero at every sample are read once from its
+    nonzero pattern and skipped.  A skipped term of finite operands is a
+    signed zero added to an accumulator that starts at +0 and cannot
+    become -0, so the products equal the dense ones bit for bit.
+    """
+    powers = [collect]
+    if top:
+        support = [np.flatnonzero(np.any(loop[:, c] != 0, axis=-1)).tolist()
+                   for c in range(loop.shape[1])]
+        for _ in range(top):
+            powers.append(_matmul(powers[-1], loop, support))
+    return powers
+
+
+def _orders(bounce_ranges) -> set[int]:
+    """The j whose products u_j @ Z the slices of ``bounce_ranges`` combine."""
+    return ({max(r.first, 1) - 1 for r in bounce_ranges}
+            | {int(r.last) for r in bounce_ranges if not r.unbounded})
+
+
+def _slices(direct, powers, zt, bounce_ranges) -> list[np.ndarray]:
+    """The slices of :func:`bounce_slices` from u_j = ``powers[j]`` and Z, frequency-minor."""
+    products = {j: _matmul(powers[j], zt) for j in _orders(bounce_ranges)}
+    slices = []
+    for r in bounce_ranges:
+        lead = products[max(r.first, 1) - 1]
+        matrix = lead if r.unbounded else lead - products[int(r.last)]
+        if r.first == 0:
+            matrix = matrix + direct
+        slices.append(matrix.copy() if matrix is lead else matrix)
+    return slices
 
 
 def bounce_slices(direct, loop, collect, zt, bounce_ranges) -> list[np.ndarray]:
     """Closed-form bounce-order slices from one solved feed Z = (I - loop)^-1 feed.
 
-    Blocks may carry leading axes (one frequency or a stack of them).  With
-    W_j = loop^j @ Z, the slice K:L is collect @ (W_(max(K,1)-1) - W_L),
-    dropping W_L for unbounded L and adding the direct block when K = 0.
-    The W_j are formed once, up to the largest power any range needs, and
-    shared by all ranges.  The work runs on frequency-minor stacks; each
-    slice comes back with the leading axes of ``direct``.
+    Blocks may carry leading axes (one frequency or a stack of them).  The
+    slices are evaluated from the receiver side.  With u_0 = collect and
+    u_(j+1) = u_j @ loop, formed once up to the largest power any range
+    needs, the slice K:L is u_(max(K,1)-1) @ Z - u_L @ Z, dropping u_L @ Z
+    for unbounded L and adding the direct block when K = 0; each u_j @ Z is
+    formed once and shared by all ranges.  The full range is collect @ Z
+    plus the direct block.  ``loop`` is only read.  The work runs on
+    frequency-minor stacks; each slice comes back with the leading axes of
+    ``direct``.
     """
     bounce_ranges = tuple(bounce_ranges)
     lead = np.shape(direct)[:-2]
-    direct, loop, collect, zt = (_stack(a) for a in (direct, loop, collect, zt))
-    leads = [max(r.first, 1) - 1 for r in bounce_ranges]
-    top = max(leads + [int(r.last) for r in bounce_ranges if not r.unbounded], default=0)
-    powers = [zt]
-    for _ in range(top):
-        powers.append(_matmul(loop, powers[-1]))
-    slices = []
-    for r, first in zip(bounce_ranges, leads):
-        w = powers[first] if r.unbounded else powers[first] - powers[int(r.last)]
-        matrix = _matmul(collect, w)
-        if r.first == 0:
-            matrix += direct
-        slices.append(_unstack(matrix, lead))
-    return slices
+    powers = _collect_powers(_stack(loop), _stack(collect), max(_orders(bounce_ranges), default=0))
+    slices = _slices(_stack(direct), powers, _stack(zt), bounce_ranges)
+    return [_unstack(s, lead) for s in slices]
+
+
+def _sample_solution(
+    graph: PropagationGraph, freqs, top: int = 0
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The direct block, u_0..u_top and Z = (I - loop)^-1 feed of ``graph`` on ``freqs``.
+
+    All three are frequency-minor, and Z is solved in the feed block's
+    storage.  The kernel, as large as the loop block, is released on
+    return, before any slice is formed.
+    """
+    blocks, kernel, powers = _sample_system(graph, freqs, top)
+    return blocks["direct"], powers, kernel._solve_stack(blocks["feed"])
 
 
 def _sample_slices(graph: PropagationGraph, freqs, bounce_ranges) -> list[np.ndarray]:
     """Bounce-order slices of ``graph`` on ``freqs``, one (m, n_rx, n_tx) stack per range."""
-    samples, kernel = _sample_system(graph, freqs)
-    zt = kernel.solve(samples.feed)
-    del kernel  # its factors are as large as the loop block; free them before slicing
-    return bounce_slices(samples.direct, samples.loop, samples.collect, zt, bounce_ranges)
+    bounce_ranges = tuple(bounce_ranges)
+    direct, powers, zt = _sample_solution(graph, freqs, max(_orders(bounce_ranges), default=0))
+    return [_unstack(s, zt.shape[-1:]) for s in _slices(direct, powers, zt, bounce_ranges)]
 
 
 def transfer_matrix(graph: PropagationGraph, freq_hz: float) -> TransferSample:
@@ -484,5 +559,5 @@ def scatterer_signal(graph: PropagationGraph, freq_hz: float, x: np.ndarray) -> 
     x = np.asarray(x, dtype=complex)
     if x.shape != (graph.n_tx,):
         raise ValueError(f"input vector must have shape ({graph.n_tx},), got {x.shape}")
-    samples, kernel = _sample_system(graph, [freq_hz])
-    return kernel.solve(samples.feed[0] @ x)
+    blocks, kernel, _ = _sample_system(graph, [freq_hz])
+    return kernel.solve(blocks["feed"][:, :, 0] @ x)

@@ -5,7 +5,8 @@ Covers:
   rejection, scatterer self-loops allowed at this layer, position coverage
 - block evaluation: sparsity pattern matches the edge set, assembled full
   matrix keeps transmitter rows and receiver columns empty, Friis gain hits
-  magnitude one at 4*pi*f*tau = 1, phase changes only the argument
+  magnitude one at 4*pi*f*tau = 1, phase changes only the argument, and
+  sampled blocks stay read-only and unchanged through engine calls
 - reversal: involution, block transposition, role swap of a feed edge
 - walk enumeration: documented example paths, counts on small topologies,
   the explosion guard, and path-product consistency with the blocks
@@ -44,8 +45,15 @@ from revgraph.graph import (
     walk_sum,
 )
 from revgraph.scenario import ScenarioConfig, generate_realization
-from revgraph.synthesis import FrequencyGrid, sample_transfer
-from revgraph.transfer import PrecomputedKernel, _sample_system, transfer_matrix
+from revgraph.synthesis import FrequencyGrid, sample_transfer, sample_transfer_slices
+from revgraph.transfer import (
+    BounceRange,
+    PrecomputedKernel,
+    _sample_system,
+    make_kernel,
+    scatterer_signal,
+    transfer_matrix,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,6 +254,26 @@ def test_block_samples_are_views_of_frequency_minor_storage():
         assert block.shape[0] == 7
         assert np.moveaxis(block, 0, -1).flags.c_contiguous
         assert not block.flags.writeable
+
+
+def test_block_samples_stay_read_only_after_engine_calls():
+    # the engine factors and solves in storage of its own sampling, never in
+    # blocks handed out by block_samples
+    graph = _example_mimo_graph()
+    grid = FrequencyGrid(1e9, 3e9, 7)
+    freqs = grid.frequencies()
+    samples = block_samples(graph, freqs)
+    names = ("direct", "feed", "loop", "collect")
+    before = {name: getattr(samples, name).copy() for name in names}
+    sample_transfer(graph, grid)
+    sample_transfer_slices(graph, grid, [BounceRange.exactly(2), BounceRange.tail(1)])
+    transfer_matrix(graph, freqs[3])
+    make_kernel(graph, freqs[3])
+    scatterer_signal(graph, freqs[3], np.ones(graph.n_tx))
+    for name in names:
+        block = getattr(samples, name)
+        assert not block.flags.writeable
+        np.testing.assert_array_equal(block, before[name])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

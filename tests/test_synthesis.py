@@ -11,8 +11,10 @@ Also covered:
 - unit-power window normalization, the two-sample fallback, and the
   measured concentration of the raised-cosine main lobe
 - sampled transfers against the per-frequency engine, bounce-slice
-  additivity, every dissection range against the per-frequency engine and
-  the walk enumeration, and per-sample contraction rejection with the
+  additivity (also for two receivers and three transmitters, against
+  k_bounce_matrix), every dissection range against the per-frequency engine
+  and the walk enumeration, a traced peak of about one loop block per
+  sampled solve, and per-sample contraction rejection with the
   offending sample index attached, the same sample rejected by the
   single-frequency path, logged condition warnings, and eigensolver
   failures wrapped as NumericalFailure
@@ -51,6 +53,7 @@ from revgraph.scenario import ScenarioConfig, generate_realization
 from revgraph.transfer import (
     BounceRange,
     NumericalFailure,
+    k_bounce_matrix,
     partial_transfer_matrix,
     transfer_matrix,
 )
@@ -292,6 +295,26 @@ def test_every_dissection_range_matches_the_per_frequency_engine():
                                              piece.bounce_range)
             np.testing.assert_allclose(piece.tensor[m], single.matrix,
                                        rtol=1e-11, atol=1e-16)
+
+
+def test_mimo_exact_slices_add_up_and_match_k_bounce_matrices():
+    config = ScenarioConfig(
+        seed=4,
+        tx_positions=((1.78, 1.0, 1.5), (3.0, 2.0, 1.0), (1.0, 1.0, 2.0)),
+        rx_positions=((4.18, 4.0, 1.5), (1.0, 4.0, 1.2)),
+    )
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    graph = generate_realization(config, grid).graph
+    ranges = [BounceRange.exactly(k) for k in range(6)] + [BounceRange.tail(6)]
+    slices = sample_transfer_slices(graph, grid, ranges)
+    full = sample_transfer(graph, grid).tensor
+    assert full.shape == (16, 2, 3)
+    scale = np.abs(full).max()
+    np.testing.assert_allclose(sum(s.tensor for s in slices), full, rtol=0, atol=1e-12 * scale)
+    for k, piece in enumerate(slices[:-1]):
+        for m in (0, 7, 15):
+            exact = k_bounce_matrix(graph, grid.frequencies()[m], k).matrix
+            np.testing.assert_allclose(piece.tensor[m], exact, rtol=0, atol=1e-12 * scale)
 
 
 def test_bounded_slices_match_the_walk_enumeration():
@@ -632,6 +655,33 @@ def test_spatial_average_of_every_pair_equals_naive_per_position_mean():
         np.testing.assert_allclose(fast.power, np.mean(naive, axis=0), rtol=1e-12, atol=0.0)
 
 
+def test_a_sampled_solve_holds_one_loop_block():
+    # the kernel factors I - loop in the loop block's own storage, so a
+    # solve peaks near one n x n x M buffer; bounce orders add the
+    # collect-side products collect @ loop^j, each 1/n of a block here
+    grid = FrequencyGrid(2e9, 3e9, 2048)
+    realization = _small_realization(seed=1, n_scatterers=10)
+    graph = realization.graph
+    window = hann_window(grid)
+    base = np.asarray(graph.position(rx(0)))
+    positions = [tuple(base + offset) for offset in (0.0, 0.01, 0.02)]
+    block = graph.n_scatterers ** 2 * grid.n_samples * np.dtype(complex).itemsize
+    sample_transfer(graph, grid)  # builds the graph's edge table
+
+    def peak_blocks(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / block
+        finally:
+            tracemalloc.stop()
+
+    assert peak_blocks(lambda: sample_transfer(graph, grid)) < 1.5
+    assert peak_blocks(lambda: spatial_spectrum(realization, positions, grid, window)) < 1.5
+    ranges = _dissection_ranges(4)
+    assert peak_blocks(lambda: sample_transfer_slices(graph, grid, ranges)) < 1.75
+
+
 def test_spatial_sweep_samples_the_whole_graph_once(monkeypatch):
     import revgraph.transfer as transfer
 
@@ -640,13 +690,13 @@ def test_spatial_sweep_samples_the_whole_graph_once(monkeypatch):
     base = np.asarray(realization.graph.position(rx(0)))
     positions = [tuple(base), tuple(base + 0.01)]
     sampled = []
-    honest = transfer.block_samples
+    honest = transfer._block_stacks
 
     def counting(graph, freqs):
         sampled.append(graph)
         return honest(graph, freqs)
 
-    monkeypatch.setattr(transfer, "block_samples", counting)
+    monkeypatch.setattr(transfer, "_block_stacks", counting)
     spatial_spectrum(realization, positions, grid, hann_window(grid))
     assert len(sampled) == 1 and sampled[0] is realization.graph
 

@@ -9,7 +9,8 @@ Claims covered:
 - spectral radius helper on hand-solvable matrices
 - kernel: identity loop behaviour, backward error of the factored solve,
   spectral-radius rejection with the offending value attached, reuse across
-  right-hand sides
+  right-hand sides, inputs left unchanged by the in-place factorization
+- the collect-side bounce recursion skips zero loop entries bit for bit
 - full/partial/k-bounce closed forms versus Neumann sums and walk sums
 - truncation tail: closed form, additivity with the kept part, decay to zero
 - scatterer signal: fixed-point residual, degenerate inputs, consistency of
@@ -204,6 +205,36 @@ def test_loop_certified_only_by_eigenvalues_goes_to_the_pivoted_solve(monkeypatc
         assert residual < 1e-12
 
 
+def test_from_loop_block_leaves_its_input_unchanged():
+    # the kernel factors in place, so it must factor a copy of what it is
+    # given, including inputs that _stack hands back without copying: one
+    # block, and a frequency-minor stack seen through np.moveaxis
+    rng = np.random.default_rng(8)
+    storage = 0.1 * (rng.normal(size=(3, 3, 4)) + 1j * rng.normal(size=(3, 3, 4)))
+    freqs = [1e9, 2e9, 3e9, 4e9]
+    for loop, f in ((storage[:, :, 0].copy(), PROBE_HZ),
+                    (np.moveaxis(storage, -1, 0), freqs),
+                    (np.ascontiguousarray(np.moveaxis(storage, -1, 0)), freqs)):
+        before = loop.copy()
+        PrecomputedKernel.from_loop_block(loop, f)
+        np.testing.assert_array_equal(loop, before)
+
+
+def test_collect_side_recursion_skips_zero_loop_entries_bitwise():
+    graph = generate_realization(ScenarioConfig(seed=2), (2e9, 3e9)).graph
+    samples = block_samples(graph, np.linspace(2e9, 3e9, 32))
+    loop, collect = (np.moveaxis(block, 0, -1) for block in (samples.loop, samples.collect))
+    zero = ~np.any(loop != 0, axis=-1)
+    assert zero.sum() > graph.n_scatterers  # more than the diagonal is skipped
+    dense = [collect]
+    for _ in range(6):
+        dense.append(revgraph.transfer._matmul(dense[-1], loop))
+    sparse = revgraph.transfer._collect_powers(loop, collect, 6)
+    assert len(sparse) == len(dense)
+    for a, b in zip(sparse, dense):
+        np.testing.assert_array_equal(a, b)
+
+
 def _eigenvalue_certified_graph():
     # the flat loop [[0, 3], [0.01, 0]]: norm bound 3, eigenvalues about +-0.17
     edges = (_edge(tx(0), scatterer(0), 0.5, 0.1, 2e-9),
@@ -396,6 +427,11 @@ def test_bounce_range_validation_and_labels():
             BounceRange(0, last)
     assert BounceRange(0, 3.0).last == 3
     assert isinstance(BounceRange(0, 3.0).last, int)
+    for first in (math.nan, math.inf, -math.inf, True, "1", 1.5):
+        with pytest.raises(ValueError, match="first"):
+            BounceRange(first)
+    for first in (2.0, np.int64(2), np.float64(2.0)):
+        assert type(BounceRange(first).first) is int and BounceRange(first).first == 2
 
 
 # -- truncation tail ----------------------------------------------------------
