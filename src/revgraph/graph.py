@@ -391,7 +391,9 @@ class BlockSamples:
     The blocks returned by :func:`block_samples` are views of
     frequency-minor storage, (rows, cols, m), so each edge's samples are one
     contiguous row and ``np.moveaxis(block, 0, -1)`` gives that storage back
-    without a copy.
+    without a copy.  The views are read-only; the storage behind each, its
+    ``base``, is fresh from that call and held by nothing else, so the
+    caller may reuse it.
     """
 
     freqs: np.ndarray    # (m,)
@@ -515,23 +517,20 @@ def _frequency_axis(table: _EdgeTable, freqs) -> np.ndarray:
     return f
 
 
-def _block_stacks(graph: PropagationGraph, freqs) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The checked frequency axis and writable frequency-minor blocks of ``graph`` on it."""
-    table = graph._edge_table
-    f = _frequency_axis(table, freqs)
-    return f, table.stacks(f)
-
-
 def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
     """Evaluate all adjacency blocks of ``graph`` on a frequency axis.
 
     Frequencies must be finite, and strictly positive whenever any edge
-    carries a frequency-dependent gain law.  The blocks are read-only.
+    carries a frequency-dependent gain law.  The blocks are read-only views
+    of fresh storage (see :class:`BlockSamples`).
     """
-    f, stacks = _block_stacks(graph, freqs)
-    for stack in stacks.values():
-        stack.setflags(write=False)
-    return BlockSamples(freqs=f, **{name: np.moveaxis(s, -1, 0) for name, s in stacks.items()})
+    table = graph._edge_table
+    f = _frequency_axis(table, freqs)
+    blocks = {}
+    for name, stack in table.stacks(f).items():
+        blocks[name] = np.moveaxis(stack, -1, 0)
+        blocks[name].setflags(write=False)
+    return BlockSamples(freqs=f, **blocks)
 
 
 def _receiver_side_samples(graph: PropagationGraph, freqs) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ do not depend on the worker count and memory does not grow with the runs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -341,6 +342,21 @@ def _annotate(exc: BaseException, run_index: int, seed: int) -> None:
     _add_note(exc, f"while simulating run {run_index} (seed {seed})")
 
 
+def _release_freed_heap() -> None:
+    """Return freed heap to the OS where the C library offers ``malloc_trim`` (glibc).
+
+    glibc gives freed heap back only once it exceeds twice the largest block
+    it has unmapped, so after a sampled solve it can keep about one loop
+    block of freed memory; without this, every process forked afterwards
+    starts with it resident.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    trim(0)
+
+
 def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
     """Yield ``fn(item)`` for each item, in input order.
 
@@ -352,6 +368,7 @@ def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
     if workers is None or workers < 2 or len(items) < 2:
         yield from map(fn, items)
         return
+    _release_freed_heap()
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
 

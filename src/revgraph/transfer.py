@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import PropagationGraph, _block_stacks, adjacency_blocks, block_samples
+from .graph import PropagationGraph, adjacency_blocks, block_samples
 
 __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
@@ -393,8 +393,11 @@ def _sample_system(
     has a frequency-flat gain, the norm bound of the loop's amplitude
     matrix certifies all samples at once.
     """
-    freqs, blocks = _block_stacks(graph, freqs)
-    loop = blocks.pop("loop")
+    samples = block_samples(graph, freqs)
+    # the read-only blocks are views of storage that this call alone holds;
+    # the engine works in that storage
+    blocks = {name: getattr(samples, name).base for name in ("direct", "feed", "collect")}
+    loop, freqs = samples.loop.base, samples.freqs
     powers = _collect_powers(loop, blocks["collect"], top)
     kernel = PrecomputedKernel._checked(loop, freqs, graph._edge_table.loop_bound)
     return blocks, kernel, powers
@@ -422,38 +425,26 @@ def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
     return replace(kernel, frequency_hz=freq_hz)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, support=None) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b per sample for frequency-minor stacks (rows, n, m) and (n, cols, m).
 
-    Terms are added in index order, one frequency row at a time.  With
-    ``support``, column ``col`` of ``b`` is taken to be zero outside the
-    rows ``support[col]``, whose terms alone are added.
+    Terms are added in index order, one frequency row at a time.
     """
     rows, n, m = a.shape
     out = np.zeros((rows, b.shape[1], m), dtype=complex)
-    for col in range(b.shape[1]):
-        terms = range(n) if support is None else support[col]
-        for i in range(rows):
+    for i in range(rows):
+        for col in range(b.shape[1]):
             acc = out[i, col]
-            for j in terms:
+            for j in range(n):
                 acc += a[i, j] * b[j, col]
     return out
 
 
 def _collect_powers(loop: np.ndarray, collect: np.ndarray, top: int) -> list[np.ndarray]:
-    """u_0 = collect and u_(j+1) = u_j @ loop up to u_top, on frequency-minor stacks.
-
-    The loop entries that are zero at every sample are read once from its
-    nonzero pattern and skipped.  A skipped term of finite operands is a
-    signed zero added to an accumulator that starts at +0 and cannot
-    become -0, so the products equal the dense ones bit for bit.
-    """
+    """u_0 = collect and u_(j+1) = u_j @ loop up to u_top, on frequency-minor stacks."""
     powers = [collect]
-    if top:
-        support = [np.flatnonzero(np.any(loop[:, c] != 0, axis=-1)).tolist()
-                   for c in range(loop.shape[1])]
-        for _ in range(top):
-            powers.append(_matmul(powers[-1], loop, support))
+    for _ in range(top):
+        powers.append(_matmul(powers[-1], loop))
     return powers
 
 

@@ -690,13 +690,13 @@ def test_spatial_sweep_samples_the_whole_graph_once(monkeypatch):
     base = np.asarray(realization.graph.position(rx(0)))
     positions = [tuple(base), tuple(base + 0.01)]
     sampled = []
-    honest = transfer._block_stacks
+    honest = transfer.block_samples
 
     def counting(graph, freqs):
         sampled.append(graph)
         return honest(graph, freqs)
 
-    monkeypatch.setattr(transfer, "_block_stacks", counting)
+    monkeypatch.setattr(transfer, "block_samples", counting)
     spatial_spectrum(realization, positions, grid, hann_window(grid))
     assert len(sampled) == 1 and sampled[0] is realization.graph
 

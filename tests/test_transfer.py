@@ -10,7 +10,6 @@ Claims covered:
 - kernel: identity loop behaviour, backward error of the factored solve,
   spectral-radius rejection with the offending value attached, reuse across
   right-hand sides, inputs left unchanged by the in-place factorization
-- the collect-side bounce recursion skips zero loop entries bit for bit
 - full/partial/k-bounce closed forms versus Neumann sums and walk sums
 - truncation tail: closed form, additivity with the kept part, decay to zero
 - scatterer signal: fixed-point residual, degenerate inputs, consistency of
@@ -218,21 +217,6 @@ def test_from_loop_block_leaves_its_input_unchanged():
         before = loop.copy()
         PrecomputedKernel.from_loop_block(loop, f)
         np.testing.assert_array_equal(loop, before)
-
-
-def test_collect_side_recursion_skips_zero_loop_entries_bitwise():
-    graph = generate_realization(ScenarioConfig(seed=2), (2e9, 3e9)).graph
-    samples = block_samples(graph, np.linspace(2e9, 3e9, 32))
-    loop, collect = (np.moveaxis(block, 0, -1) for block in (samples.loop, samples.collect))
-    zero = ~np.any(loop != 0, axis=-1)
-    assert zero.sum() > graph.n_scatterers  # more than the diagonal is skipped
-    dense = [collect]
-    for _ in range(6):
-        dense.append(revgraph.transfer._matmul(dense[-1], loop))
-    sparse = revgraph.transfer._collect_powers(loop, collect, 6)
-    assert len(sparse) == len(dense)
-    for a, b in zip(sparse, dense):
-        np.testing.assert_array_equal(a, b)
 
 
 def _eigenvalue_certified_graph():
