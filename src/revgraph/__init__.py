@@ -7,172 +7,20 @@ form whenever the scatterer-to-scatterer loop contracts.  On top of that
 core sit a stochastic room scenario, frequency sampling with windowed
 inverse transforms, and a command-line driver for ensemble and spatial
 Monte Carlo studies.
+
+The package's public names are those of its modules: each of ``graph``,
+``transfer``, ``scenario`` and ``synthesis`` lists its own in ``__all__``,
+and ``revgraph.__all__`` is their ordered union without repeats.
 """
 
-from .graph import (
-    AdjacencyBlocks,
-    BlockSamples,
-    ConstantGain,
-    Edge,
-    EdgeClass,
-    ExplosionGuard,
-    FrequencyLawGain,
-    InvalidWalk,
-    MissingPositions,
-    PropagationGraph,
-    StructuralViolation,
-    VertexId,
-    VertexKind,
-    adjacency_blocks,
-    block_samples,
-    enumerate_paths,
-    graph_from_json,
-    graph_to_json,
-    path_transfer,
-    reverse_graph,
-    rx,
-    scatterer,
-    tx,
-    walk_sum,
-)
-from .scenario import (
-    Box,
-    EmptyEdgeClass,
-    RejectionLimitExceeded,
-    ScenarioConfig,
-    ScenarioRealization,
-    draw_edges,
-    draw_positions,
-    edge_gain,
-    gain_from_slope,
-    generate_realization,
-    realization_from_json,
-    realization_to_json,
-    relocate_receiver,
-)
-from .transfer import (
-    CONDITION_WARN_THRESHOLD,
-    SPECTRAL_RADIUS_LIMIT,
-    BounceRange,
-    NumericalFailure,
-    PrecomputedKernel,
-    SingularSystem,
-    SpectralRadiusExceeded,
-    TransferSample,
-    k_bounce_matrix,
-    make_kernel,
-    partial_transfer_matrix,
-    scatterer_signal,
-    spectral_radius,
-    transfer_matrix,
-    truncation_error,
-    verify_contraction,
-)
-from .synthesis import (
-    DelayPowerSpectrum,
-    FrequencyGrid,
-    ImpulseResponse,
-    InsufficientBins,
-    LengthMismatch,
-    NonpositivePower,
-    ResponseSamples,
-    SpectralRadiusExceededAt,
-    SpectrumKind,
-    TailSlopeFit,
-    WindowSpectrum,
-    ensemble_spectra,
-    ensemble_spectrum,
-    fit_tail_slope,
-    hann_window,
-    impulse_response,
-    sample_transfer,
-    sample_transfer_slices,
-    spatial_spectrum,
-    write_csv_files,
-    write_impulse_csv,
-    write_response_csv,
-    write_spectrum_csv,
-)
+from . import graph, scenario, synthesis, transfer
+from .graph import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
+from .synthesis import *  # noqa: F401,F403
+from .transfer import *  # noqa: F401,F403
 
-__all__ = [
-    # graph
-    "VertexKind",
-    "VertexId",
-    "tx",
-    "rx",
-    "scatterer",
-    "EdgeClass",
-    "ConstantGain",
-    "FrequencyLawGain",
-    "Edge",
-    "PropagationGraph",
-    "AdjacencyBlocks",
-    "BlockSamples",
-    "adjacency_blocks",
-    "block_samples",
-    "reverse_graph",
-    "enumerate_paths",
-    "path_transfer",
-    "walk_sum",
-    "graph_to_json",
-    "graph_from_json",
-    "StructuralViolation",
-    "MissingPositions",
-    "ExplosionGuard",
-    "InvalidWalk",
-    # transfer
-    "SPECTRAL_RADIUS_LIMIT",
-    "CONDITION_WARN_THRESHOLD",
-    "BounceRange",
-    "TransferSample",
-    "PrecomputedKernel",
-    "spectral_radius",
-    "verify_contraction",
-    "make_kernel",
-    "transfer_matrix",
-    "k_bounce_matrix",
-    "partial_transfer_matrix",
-    "truncation_error",
-    "scatterer_signal",
-    "SpectralRadiusExceeded",
-    "SingularSystem",
-    "NumericalFailure",
-    # scenario
-    "Box",
-    "ScenarioConfig",
-    "ScenarioRealization",
-    "draw_positions",
-    "draw_edges",
-    "edge_gain",
-    "gain_from_slope",
-    "generate_realization",
-    "relocate_receiver",
-    "realization_to_json",
-    "realization_from_json",
-    "EmptyEdgeClass",
-    "RejectionLimitExceeded",
-    # synthesis
-    "FrequencyGrid",
-    "WindowSpectrum",
-    "hann_window",
-    "ResponseSamples",
-    "sample_transfer",
-    "sample_transfer_slices",
-    "ImpulseResponse",
-    "impulse_response",
-    "SpectrumKind",
-    "DelayPowerSpectrum",
-    "ensemble_spectrum",
-    "ensemble_spectra",
-    "spatial_spectrum",
-    "TailSlopeFit",
-    "fit_tail_slope",
-    "write_response_csv",
-    "write_impulse_csv",
-    "write_spectrum_csv",
-    "write_csv_files",
-    "SpectralRadiusExceededAt",
-    "LengthMismatch",
-    "InsufficientBins",
-    "NonpositivePower",
-]
+__all__ = list(
+    dict.fromkeys(
+        name for module in (graph, transfer, scenario, synthesis) for name in module.__all__
+    )
+)

@@ -478,22 +478,18 @@ _BLOCK_CLASSES = (
 )
 
 
-def _validation_checks(spec: ExperimentSpec):
-    """Yield (name, callable) pairs; each callable raises on failure."""
-    scenario = spec.scenario
-    probe_grid = FrequencyGrid(
-        spec.grids[0].f_min_hz,
-        spec.grids[0].f_max_hz,
-        min(spec.grids[0].n_samples, 257),
-    )
-    state: dict = {}
+_GENERATION = "realization generated within the rejection budget"
 
-    def generation():
-        state["realization"] = generate_realization(scenario, probe_grid)
+
+def _validation_checks(spec: ExperimentSpec, probe_grid: FrequencyGrid, realization):
+    """(name, callable) pairs of the checks after generation, in report order.
+
+    Each callable raises on failure.  Without a ``realization`` (generation
+    failed) the callable of every check that needs one is None.
+    """
+    graph = None if realization is None else realization.graph
 
     def gain_laws():
-        realization = state["realization"]
-        graph = realization.graph
         for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):
             for edge in graph.edges:
                 baked = float(edge.gain.amplitude(f, edge.delay_s))
@@ -502,7 +498,6 @@ def _validation_checks(spec: ExperimentSpec):
                         f"{edge.src}->{edge.dst} carries {baked!r}, its law gives {law!r} at {f:g} Hz")
 
     def block_placement():
-        graph = state["realization"].graph
         freqs = np.array([probe_grid.f_min_hz, probe_grid.f_max_hz])
         samples = block_samples(graph, freqs)
         for name, edge_class in _BLOCK_CLASSES:
@@ -516,13 +511,11 @@ def _validation_checks(spec: ExperimentSpec):
             _expect(not block[:, ~covered].any(), f"the {name} block has entries no edge accounts for")
 
     def contraction():
-        graph = state["realization"].graph
         for grid in spec.grids:
             freqs = grid.frequencies()
             verify_contraction(block_samples(graph, freqs).loop, freqs)
 
     def resolvent_split():
-        graph = state["realization"].graph
         for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):
             whole = transfer_matrix(graph, f).matrix
             scale = max(np.abs(whole).max(), 1e-30)
@@ -533,7 +526,6 @@ def _validation_checks(spec: ExperimentSpec):
                 _expect(gap <= 1e-11 * scale, f"resolvent split off by {gap:g} at K={k}")
 
     def walk_oracle():
-        graph = state["realization"].graph
         for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):
             closed = partial_transfer_matrix(graph, f, BounceRange(0, 4)).matrix
             brute = walk_sum(graph, f, 0, 4)
@@ -541,7 +533,6 @@ def _validation_checks(spec: ExperimentSpec):
             _expect(np.abs(closed - brute).max() <= 1e-9 * scale, "walk-sum mismatch")
 
     def reciprocity():
-        graph = state["realization"].graph
         mirrored = reverse_graph(graph)
         for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):
             forward = transfer_matrix(graph, f).matrix
@@ -555,7 +546,6 @@ def _validation_checks(spec: ExperimentSpec):
             _expect(abs(power - 1.0) <= 1e-12, f"window power {power!r}")
 
     def additivity():
-        graph = state["realization"].graph
         window = hann_window(probe_grid)
         full = impulse_response(sample_transfer(graph, probe_grid), window)
         ranges = [BounceRange.exactly(k) for k in range(0, 7)] + [BounceRange.tail(7)]
@@ -565,8 +555,7 @@ def _validation_checks(spec: ExperimentSpec):
         scale = max(np.abs(full.samples).max(), 1e-30)
         _expect(np.abs(total - full.samples).max() <= 1e-9 * scale, "bounce slices do not add up")
 
-    return [
-        ("realization generated within the rejection budget", generation),
+    checks = [
         ("every edge carries the gain its class law gives", gain_laws),
         ("every edge sits at [dst, src] of its class block, and nothing else", block_placement),
         ("scatterer loop contracts on every configured grid", contraction),
@@ -576,27 +565,39 @@ def _validation_checks(spec: ExperimentSpec):
         ("windows carry unit power on every configured grid", window_power),
         ("bounce-order slices add up to the full impulse response", additivity),
     ]
+    if realization is None:
+        return [(name, check if check is window_power else None) for name, check in checks]
+    return checks
 
 
 def _run_validate(spec: ExperimentSpec) -> int:
-    lines = []
-    failures = 0
-    for name, check in _validation_checks(spec):
+    grid = spec.grids[0]
+    probe_grid = FrequencyGrid(grid.f_min_hz, grid.f_max_hz, min(grid.n_samples, 257))
+    try:
+        realization = generate_realization(spec.scenario, probe_grid)
+    except Exception as exc:  # report it once; the checks that need it are skipped
+        realization = None
+        lines = [f"FAIL {_GENERATION}: {exc}"]
+    else:
+        lines = [f"ok   {_GENERATION}"]
+    for name, check in _validation_checks(spec, probe_grid, realization):
+        if check is None:
+            lines.append(f"skip {name}: no realization")
+            continue
         try:
             check()
         except Exception as exc:  # report and keep going
-            failures += 1
             lines.append(f"FAIL {name}: {exc}")
         else:
             lines.append(f"ok   {name}")
-    total = len(lines)
-    lines.append(f"{total - failures}/{total} checks passed")
+    passed = sum(line.startswith("ok ") for line in lines)
+    lines.append(f"{passed}/{len(lines)} checks passed")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if spec.out_dir is not None:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         (spec.out_dir / "validate_report.txt").write_text(text)
-    return 1 if failures else 0
+    return 0 if passed == len(lines) - 1 else 1
 
 
 _RUNNERS = {

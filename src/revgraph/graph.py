@@ -23,6 +23,8 @@ from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
+from ._fields import _integer
+
 __all__ = [
     "StructuralViolation",
     "MissingPositions",
@@ -73,6 +75,14 @@ class InvalidWalk(ValueError):
     """A vertex sequence is not a valid propagation path."""
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer (bools are not)."""
+    try:
+        return _integer(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 # -- Vertices -----------------------------------------------------------------
 
 
@@ -90,6 +100,7 @@ class VertexId:
     index: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", _count(self.index, "index"))
         if self.index < 0:
             raise ValueError(f"vertex index must be nonnegative, got {self.index}")
 
@@ -249,10 +260,21 @@ class Edge:
     def transfer_value(self, freq_hz):
         """Complex transfer function of this edge at one or more frequencies."""
         f = np.asarray(freq_hz, dtype=float)
-        value = self.gain.amplitude(f, self.delay_s) * np.exp(
-            1j * (self.phase_rad - TWO_PI * self.delay_s * f)
-        )
+        value = _edge_samples(self.phase_rad, TWO_PI * self.delay_s,
+                              self.gain.amplitude(f, self.delay_s), f, np.empty(f.shape, complex))
         return complex(value) if np.isscalar(freq_hz) else value
+
+
+def _edge_samples(phase: float, two_pi_delay: float, amplitude, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write an edge's samples on ``f`` into the complex array ``out`` and return it.
+
+    This is the one formula for an edge sample: cos and sin of
+    phase - 2 pi delay f, then times the amplitude, amplitude first.
+    """
+    x = phase - two_pi_delay * f
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return np.multiply(amplitude, out, out=out)
 
 
 # -- Graph --------------------------------------------------------------------
@@ -276,6 +298,8 @@ class PropagationGraph:
     positions: Mapping[VertexId, tuple[float, float, float]] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_tx", "n_rx", "n_scatterers"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n_tx < 1 or self.n_rx < 1 or self.n_scatterers < 0:
             raise StructuralViolation(
                 f"need n_tx >= 1, n_rx >= 1, n_scatterers >= 0; got "
@@ -487,21 +511,16 @@ class _EdgeTable:
     def stacks(self, f: np.ndarray) -> dict[str, np.ndarray]:
         """Frequency-minor blocks (rows, cols, m) of the tabulated blocks on the checked axis ``f``.
 
-        Each edge writes cos and sin of phase - 2 pi delay f into its row
-        and then scales it by its amplitude, amplitude first: bit for bit
-        the samples of :meth:`Edge.transfer_value`.  The storage is fresh
-        and writable; the caller owns it.
+        Each edge's row is written by :func:`_edge_samples`, the formula of
+        :meth:`Edge.transfer_value`.  The storage is fresh and writable; the
+        caller owns it.
         """
         out = {}
         for name, rows in self.rows.items():
             stack = np.zeros(self.shapes[name] + f.shape, dtype=complex)
             for row in rows:
-                x = row.phase - row.two_pi_delay * f
-                sample = stack[row.dst, row.src]
-                np.cos(x, out=sample.real)
-                np.sin(x, out=sample.imag)
                 amplitude = row.gain.amplitude(f, row.delay_s) if row.flat is None else row.flat
-                np.multiply(amplitude, sample, out=sample)
+                _edge_samples(row.phase, row.two_pi_delay, amplitude, f, stack[row.dst, row.src])
             out[name] = stack
         return out
 
@@ -609,6 +628,7 @@ def enumerate_paths(
     index).  Raises :class:`ExplosionGuard` once more than ``max_paths``
     paths have been produced.
     """
+    max_bounces = _count(max_bounces, "max_bounces")
     if max_bounces < 0:
         raise ValueError(f"max_bounces must be >= 0, got {max_bounces}")
     out_rx = graph._out_rx
@@ -677,6 +697,8 @@ def walk_sum(
     ``min_bounces``, so :class:`ExplosionGuard` fires where the enumeration
     would.
     """
+    min_bounces = _count(min_bounces, "min_bounces")
+    max_bounces = _count(max_bounces, "max_bounces")
     if not 0 <= min_bounces <= max_bounces:
         raise ValueError(f"need 0 <= min_bounces <= max_bounces, got ({min_bounces}, {max_bounces})")
     f = float(freq_hz)
@@ -718,7 +740,7 @@ def _vertex_to_dict(v: VertexId) -> dict:
 
 
 def _vertex_from_dict(data: dict) -> VertexId:
-    return VertexId(VertexKind(data["kind"]), int(data["index"]))
+    return VertexId(VertexKind(data["kind"]), data["index"])
 
 
 def _gain_to_dict(gain: EdgeGainSpec) -> dict:
@@ -784,7 +806,7 @@ def graph_from_json(text: str) -> PropagationGraph:
         )
         for item in doc["edges"]
     )
-    counts = int(doc["n_t"]), int(doc["n_r"]), int(doc["n_s"])
+    counts = tuple(_count(doc[key], key) for key in ("n_t", "n_r", "n_s"))
     positions = None
     if doc.get("positions") is not None:
         positions = {v: tuple(p) for v, p in zip(_vertices(*counts), doc["positions"])}

@@ -262,11 +262,6 @@ class ImpulseResponse:
         return np.abs(self.samples) ** 2
 
 
-def _idft(weighted: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    # y_i = df * sum_m v[m] exp(j 2 pi i m / M), evaluated as M * df * ifft(v).
-    return grid.n_samples * grid.delta_f * np.fft.ifft(weighted)
-
-
 def impulse_response(
     samples,
     window: WindowSpectrum,
@@ -293,8 +288,10 @@ def impulse_response(
             raise LengthMismatch(
                 f"{values.shape} samples against a window of {window.grid.n_samples}"
             )
-    y = _idft(values * window.samples, window.grid)
-    return ImpulseResponse(samples=y, grid=window.grid, bounce_range=bounce_range)
+    # y_i = df * sum_m v[m] w[m] exp(j 2 pi i m / M), evaluated as M * df * ifft(v w).
+    grid = window.grid
+    y = grid.n_samples * grid.delta_f * np.fft.ifft(values * window.samples)
+    return ImpulseResponse(samples=y, grid=grid, bounce_range=bounce_range)
 
 
 # -- Delay-power spectra --------------------------------------------------------------
@@ -376,7 +373,7 @@ def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
 def _ensemble_run_powers(config, grid, bounce_ranges, window, rx_index, tx_index):
     realization = generate_realization(config, grid)
     tensors = _sample_slices(realization.graph, grid.frequencies(), bounce_ranges)
-    return [np.abs(_idft(t[:, rx_index, tx_index] * window.samples, grid)) ** 2 for t in tensors]
+    return [impulse_response(t[:, rx_index, tx_index], window).power() for t in tensors]
 
 
 def ensemble_spectra(
@@ -444,7 +441,6 @@ def ensemble_spectrum(
         grid,
         n_runs,
         window,
-        bounce_ranges=(BounceRange.full(),),
         rx_index=rx_index,
         tx_index=tx_index,
         workers=workers,
@@ -499,8 +495,7 @@ def spatial_spectrum(
             raise RuntimeError("receiver move altered scatterer-side edges")
         direct, collect = _receiver_side_samples(moved, freqs)
         response = _matmul(collect, zt) + direct
-        y = _idft(response[rx_index, tx_index] * window.samples, grid)
-        total += np.abs(y) ** 2
+        total += impulse_response(response[rx_index, tx_index], window).power()
     return DelayPowerSpectrum(
         power=total / len(positions),
         grid=grid,

@@ -2,15 +2,17 @@
 
 ``perfbench/run.py::install_spans`` looks each function up by name, so a
 rename or deletion in revgraph breaks the traced benchmark run.  This test
-installs the spans on a fresh tracer, drives a small ``revgraph validate``
-and a small ``revgraph spatial`` through them, and removes them again; it
-only reads ``perfbench/``.
+installs the spans on a fresh tracer, drives small ``revgraph validate``,
+``spatial``, ``ensemble`` and ``dissect`` runs through them, and removes them
+again; it only reads ``perfbench/``.
 """
 
 import importlib
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import revgraph.cli
 
@@ -59,4 +61,19 @@ def test_benchmark_spans_see_the_spatial_sweep(monkeypatch, capsys, tmp_path):
     ])
     assert status == 0, capsys.readouterr()
     for span in ("synthesis.spatial_spectrum", "scenario.relocate_receiver"):
+        assert tracer.calls(span), f"no call went through the {span} span"
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["ensemble", "--runs", "2"], ("synthesis.ensemble_spectra",)),
+    (["dissect", "--kmax", "2"], ("synthesis.sample_transfer_slices",)),
+])
+def test_benchmark_spans_see_ensemble_and_dissect(monkeypatch, capsys, tmp_path, argv, spans):
+    # One worker keeps every run and CSV writer in this process, where the spans are.
+    monkeypatch.setenv("REVGRAPH_THREADS", "1")
+    status, tracer = _traced_main(monkeypatch, argv + [
+        "--out", str(tmp_path / "out"), "--grid", "2e9,3e9,16",
+    ])
+    assert status == 0, capsys.readouterr()
+    for span in ("graph.block_samples", "synthesis.write_csv") + spans:
         assert tracer.calls(span), f"no call went through the {span} span"

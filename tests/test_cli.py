@@ -399,6 +399,22 @@ def test_validate_catches_a_transposed_loop_block(monkeypatch, tmp_path, capsys)
     assert "8/9 checks passed" in out
 
 
+def test_validate_reports_a_failed_generation_once(monkeypatch, tmp_path, capsys):
+    import revgraph.scenario
+
+    monkeypatch.setattr(revgraph.scenario, "_loop_is_contractive", lambda graph, freqs: False)
+    cfg = _write(tmp_path, "c.json", {"max_rejections": 1})
+    status = main(["validate", "--config", str(cfg), "--grid", "2e9,3e9,32"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 1
+    assert lines[0].startswith("FAIL realization generated within the rejection budget: "
+                               "no acceptable graph after 1 attempts")
+    assert [line[:5] for line in lines[1:-1]] == ["skip "] * 6 + ["ok   ", "skip "]
+    assert lines[7] == "ok   windows carry unit power on every configured grid"
+    assert lines[-1] == "1/9 checks passed"
+    assert not any("FAIL" in line for line in lines[1:])
+
+
 _TAMPERED_VALIDATE = textwrap.dedent("""
     import sys
     from dataclasses import replace

@@ -31,6 +31,7 @@ from revgraph.graph import (
     MissingPositions,
     PropagationGraph,
     StructuralViolation,
+    VertexId,
     VertexKind,
     adjacency_blocks,
     block_samples,
@@ -173,6 +174,28 @@ def test_out_of_range_vertex_index_rejected():
     with pytest.raises(StructuralViolation):
         PropagationGraph(n_tx=1, n_rx=1, n_scatterers=1,
                          edges=(_edge(tx(0), scatterer(4)),))
+
+
+@pytest.mark.parametrize("index", [0.5, True, "1"])
+def test_vertex_index_must_be_an_integer(index):
+    with pytest.raises(ValueError, match="index"):
+        VertexId(VertexKind.SCATTERER, index)
+
+
+def test_vertex_index_normalises_numpy_integers():
+    vertex = scatterer(np.int64(2))
+    assert type(vertex.index) is int
+    assert vertex == scatterer(2) and str(vertex) == "s2"
+
+
+@pytest.mark.parametrize("field", ["n_tx", "n_rx", "n_scatterers"])
+def test_vertex_counts_must_be_integers(field):
+    counts = {"n_tx": 1, "n_rx": 1, "n_scatterers": 0, field: 1.5}
+    with pytest.raises(ValueError, match=field):
+        PropagationGraph(**counts, edges=())
+    graph = PropagationGraph(**{**counts, field: np.int64(1)}, edges=())
+    assert type(getattr(graph, field)) is int
+    assert len(list(graph.vertices())) == graph.n_vertices
 
 
 # -- block evaluation -----------------------------------------------------------
@@ -409,6 +432,13 @@ def test_explosion_guard_fires_on_tiny_cap():
         list(enumerate_paths(graph, 6, max_paths=5))
 
 
+@pytest.mark.parametrize("bounces", [1.5, True])
+def test_enumeration_depth_must_be_an_integer(bounces):
+    graph = generate_realization(ScenarioConfig(seed=1, n_scatterers=3), (2e9, 3e9)).graph
+    with pytest.raises(ValueError, match="max_bounces"):
+        list(enumerate_paths(graph, bounces))
+
+
 def test_enumeration_order_is_deterministic():
     graph = _example_mimo_graph()
     first = list(enumerate_paths(graph, 4))
@@ -494,6 +524,13 @@ def test_walk_sum_guard_counts_paths_below_min_bounces():
         walk_sum(graph, 2.5e9, 4, 4, max_paths=n_paths - 1)
 
 
+@pytest.mark.parametrize("bounds, name", [((0, 1.5), "max_bounces"), ((0.5, 1), "min_bounces"),
+                                          ((False, 1), "min_bounces")])
+def test_walk_sum_bounds_must_be_integers(bounds, name):
+    with pytest.raises(ValueError, match=name):
+        walk_sum(_example_mimo_graph(), 2.5e9, *bounds)
+
+
 # -- serialization ------------------------------------------------------------------
 
 
@@ -512,6 +549,19 @@ def test_json_document_shape():
     entry = doc["edges"][0]
     assert set(entry) == {"init", "term", "gain", "phase_rad", "delay_s"}
     assert set(entry["init"]) == {"kind", "index"}
+
+
+@pytest.mark.parametrize("path, name", [(("n_t",), "n_t"), (("n_s",), "n_s"),
+                                        (("edges", 0, "init", "index"), "index")])
+def test_json_counts_and_indices_must_be_integers(path, name):
+    doc = json.loads(graph_to_json(_example_mimo_graph()))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = target[key] + 0.5
+    with pytest.raises(ValueError, match=name):
+        graph_from_json(json.dumps(doc))
 
 
 def test_json_builds_the_graph_once(monkeypatch):
