@@ -41,6 +41,8 @@ def _number(value) -> float:
 
 
 def _integer(value) -> int:
+    if type(value) is int:  # the common case, without the abstract-class check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)

@@ -18,12 +18,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from ._fields import _integer
+from ._fields import _integer, _number
 
 __all__ = [
     "StructuralViolation",
@@ -75,12 +75,16 @@ class InvalidWalk(ValueError):
     """A vertex sequence is not a valid propagation path."""
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless it is an integer (bools are not)."""
+def _named(check, value, name: str):
+    """``check(value)``; a ValueError it raises names ``name``."""
     try:
-        return _integer(value)
+        return check(value)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+_count = partial(_named, _integer)  # an int; bools are not integers
+_real = partial(_named, _number)  # a finite float
 
 
 # -- Vertices -----------------------------------------------------------------
@@ -200,6 +204,7 @@ class FrequencyLawGain:
         elif self.law is EdgeClass.INTER_SCATTER:
             if self.base_gain is None or self.out_degree is None:
                 raise ValueError("inter_scatter law needs base_gain and out_degree")
+            object.__setattr__(self, "out_degree", _count(self.out_degree, "out_degree"))
             if not 0.0 <= self.base_gain or not math.isfinite(self.base_gain):
                 raise ValueError(f"base_gain must be finite and >= 0, got {self.base_gain}")
             if self.out_degree < 1:
@@ -626,7 +631,8 @@ def enumerate_paths(
     order; at every vertex, receiver terminations are emitted (ascending
     receiver index) before descending into scatterers (ascending scatterer
     index).  Raises :class:`ExplosionGuard` once more than ``max_paths``
-    paths have been produced.
+    paths have been produced.  ``max_bounces`` is checked on call, before the
+    first path is asked for.
     """
     max_bounces = _count(max_bounces, "max_bounces")
     if max_bounces < 0:
@@ -650,8 +656,8 @@ def enumerate_paths(
             yield from walk_from(prefix, bounces_left - 1)
             prefix.pop()
 
-    for t in range(graph.n_tx):
-        yield from walk_from([tx(t)], max_bounces)
+    # A generator expression, so that the checks above run on call.
+    return (path for t in range(graph.n_tx) for path in walk_from([tx(t)], max_bounces))
 
 
 def path_transfer(graph: PropagationGraph, walk, freq_hz: float) -> complex:
@@ -757,15 +763,11 @@ def _gain_to_dict(gain: EdgeGainSpec) -> dict:
 def _gain_from_dict(data: dict) -> EdgeGainSpec:
     kind = data.get("type")
     if kind == "constant":
-        return ConstantGain(float(data["value"]))
+        return ConstantGain(_real(data["value"], "value"))
     if kind == "law":
-        return FrequencyLawGain(
-            law=EdgeClass(data["law"]),
-            mean_delay_s=data.get("mean_delay_s"),
-            inv_sq_delay_sum=data.get("inv_sq_delay_sum"),
-            base_gain=data.get("base_gain"),
-            out_degree=data.get("out_degree"),
-        )
+        stats = {key: _real(data[key], key) for key in ("mean_delay_s", "inv_sq_delay_sum", "base_gain")
+                 if data.get(key) is not None}
+        return FrequencyLawGain(law=EdgeClass(data["law"]), out_degree=data.get("out_degree"), **stats)
     raise ValueError(f"unknown gain type {kind!r}")
 
 
@@ -801,8 +803,8 @@ def graph_from_json(text: str) -> PropagationGraph:
             src=_vertex_from_dict(item["init"]),
             dst=_vertex_from_dict(item["term"]),
             gain=_gain_from_dict(item["gain"]),
-            phase_rad=float(item["phase_rad"]),
-            delay_s=float(item["delay_s"]),
+            phase_rad=_real(item["phase_rad"], "phase_rad"),
+            delay_s=_real(item["delay_s"], "delay_s"),
         )
         for item in doc["edges"]
     )

@@ -222,6 +222,18 @@ class ScenarioRealization:
     mu_es: float | None
     resolved_g: float | None
 
+    def __post_init__(self) -> None:
+        _check_fields(self, _REALIZATION_FIELDS)
+
+
+_REALIZATION_FIELDS = (
+    _Field("attempts", _INTEGER, "attempts", "Generation attempts used.", {"minimum": 1}),
+    _Field("mu_es", _NUMBER, "mu_es", "Mean inter-scatterer delay in seconds.",
+           {"exclusiveMinimum": 0}, nullable=True),
+    _Field("resolved_g", _NUMBER, "resolved_g", "Shared inter-scatterer gain.",
+           {"minimum": 0}, nullable=True),
+)
+
 
 # -- Random draws ---------------------------------------------------------------
 
@@ -544,7 +556,7 @@ def realization_from_json(text: str) -> ScenarioRealization:
     doc = json.loads(text)
     return ScenarioRealization(
         graph=graph_from_json(json.dumps(doc["graph"])),
-        attempts=int(doc["attempts"]),
+        attempts=doc["attempts"],
         mu_es=doc["mu_es"],
         resolved_g=doc["resolved_g"],
     )

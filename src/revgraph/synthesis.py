@@ -604,32 +604,33 @@ def write_spectrum_csv(path, spectrum: DelayPowerSpectrum) -> None:
                    [spectrum.grid._delay_text, map(repr, power), map(repr, db)])
 
 
-# A write_csv_files job names its writer by key, and the writer is looked up in
+# Each job's writer is chosen by the type of its data and looked up by name in
 # this module where the job runs.  No function object is pickled, so a writer
 # replaced by a closure (a profiler's timing wrapper, say) still runs in a pool.
 _CSV_WRITERS = {
-    "response": "write_response_csv",
-    "impulse": "write_impulse_csv",
-    "spectrum": "write_spectrum_csv",
+    ResponseSamples: "write_response_csv",
+    ImpulseResponse: "write_impulse_csv",
+    DelayPowerSpectrum: "write_spectrum_csv",
 }
 
 
 def _write_csv_job(job) -> None:
-    key, path, data = job
+    path, data = job
     try:
-        globals()[_CSV_WRITERS[key]](path, data)
+        globals()[_CSV_WRITERS[type(data)]](path, data)
     except Exception as exc:
         _add_note(exc, f"while writing {path}")
         raise
 
 
 def write_csv_files(jobs, workers: int | None = None) -> None:
-    """Write ``(key, path, data)`` jobs, ``key`` one of response, impulse, spectrum.
+    """Write ``(path, data)`` jobs with the writer for each data's type.
 
-    ``write_<key>_csv(path, data)`` writes each file.  With ``workers`` > 1 the
-    jobs are split into one chunk per worker process, so each worker formats
-    a grid's axis column once; the bytes written do not depend on ``workers``.
-    An error names the file being written.
+    ``write_response_csv``, ``write_impulse_csv`` and ``write_spectrum_csv`` write
+    :class:`ResponseSamples`, :class:`ImpulseResponse` and :class:`DelayPowerSpectrum`.
+    With ``workers`` > 1 the jobs are split into one chunk per worker process, so each
+    worker formats a grid's axis column once; the bytes written do not depend on
+    ``workers``.  An error names the file being written.
     """
     jobs = list(jobs)
     chunksize = -(-len(jobs) // workers) if workers else 1

@@ -4,7 +4,8 @@
 rename or deletion in revgraph breaks the traced benchmark run.  This test
 installs the spans on a fresh tracer, drives small ``revgraph validate``,
 ``spatial``, ``ensemble`` and ``dissect`` runs through them, and removes them
-again; it only reads ``perfbench/``.
+again; it only reads ``perfbench/``.  The ``ensemble`` spectrum files must be
+written in this process, where a traced run sees them, at any worker count.
 """
 
 import importlib
@@ -77,3 +78,11 @@ def test_benchmark_spans_see_ensemble_and_dissect(monkeypatch, capsys, tmp_path,
     assert status == 0, capsys.readouterr()
     for span in ("graph.block_samples", "synthesis.write_csv") + spans:
         assert tracer.calls(span), f"no call went through the {span} span"
+    if argv[0] == "ensemble":
+        # The benchmark times spectrum writes in this process even when the runs are pooled.
+        monkeypatch.setenv("REVGRAPH_THREADS", "2")
+        status, tracer = _traced_main(monkeypatch, argv + [
+            "--out", str(tmp_path / "pooled"), "--grid", "2e9,3e9,16", "--grid", "1e9,11e9,16",
+        ])
+        assert status == 0, capsys.readouterr()
+        assert tracer.calls("synthesis.write_csv") == 2

@@ -633,13 +633,53 @@ def test_pooled_csv_writes_match_serial(monkeypatch, tmp_path):
 def test_write_errors_name_the_file(monkeypatch, tmp_path, capsys, workers):
     pools = _spy_on_pool(monkeypatch)
     _use_workers(monkeypatch, workers)
+    cases = [
+        (["dissect", "--kmax", "1"], "dissect_1toinf.csv"),  # the last of 5 files, in the second chunk
+        (["ensemble", "--runs", "2"], "spectrum_ensemble_2to3GHz_M16.csv"),  # written here
+    ]
+    for argv, name in cases:
+        out = tmp_path / argv[0]
+        blocked = out / name
+        blocked.mkdir(parents=True)
+        status = main(argv + ["--out", str(out), "--grid", "2e9,3e9,16"])
+        assert status == 1
+        assert f"while writing {blocked}" in capsys.readouterr().err
+    # Dissect files in 2 chunks of at most 3, then the ensemble's runs one per task.
+    assert pools == ([] if workers == 1 else [(2, 3), (2, 1)])
+
+
+_RESPONSE_AXES = "x = freq_hz / 1e9 (GHz), y = 20*log10(hypot(h_rx0_tx0_re, h_rx0_tx0_im)) (dB)"
+_IMPULSE_AXES = "x = delay_s * 1e9 (ns), y = 20*log10(hypot(h_re, h_im)) (dB)"
+_SPECTRUM_AXES = "x = delay_s * 1e9 (ns), y = power_db (dB)"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["response"], [
+        f"response_2to3GHz_M16.csv: {_RESPONSE_AXES}",
+        f"impulse_2to3GHz_M16.csv: {_IMPULSE_AXES}",
+        f"response_1to11GHz_M32.csv: {_RESPONSE_AXES}",
+        f"impulse_1to11GHz_M32.csv: {_IMPULSE_AXES}",
+    ]),
+    (["dissect", "--kmax", "1"], [
+        f"dissect_{tag}.csv: {_IMPULSE_AXES}, bounce orders {label}"
+        for tag, label in [("0to0", "0:0"), ("0to1", "0:1"), ("1to1", "1:1"),
+                           ("0toinf", "0:inf"), ("1toinf", "1:inf")]
+    ]),
+    (["ensemble", "--runs", "1"], [
+        f"spectrum_ensemble_2to3GHz_M16.csv: {_SPECTRUM_AXES}",
+        f"spectrum_ensemble_1to11GHz_M32.csv: {_SPECTRUM_AXES}",
+    ]),
+    (["spatial"], [
+        f"spectrum_spatial_2to3GHz_M16.csv: {_SPECTRUM_AXES}",
+        f"spectrum_spatial_1to11GHz_M32.csv: {_SPECTRUM_AXES}",
+    ]),
+], ids=["response", "dissect", "ensemble", "spatial"])
+def test_plots_txt_describes_every_csv(tmp_path, argv, lines):
+    cfg = _write(tmp_path, "c.json", {"spatial_points": 2})
     out = tmp_path / "o"
-    blocked = out / "dissect_1toinf.csv"  # the last of 5 files, in the second chunk
-    blocked.mkdir(parents=True)
-    status = main(["dissect", "--out", str(out), "--grid", "2e9,3e9,16", "--kmax", "1"])
-    assert status == 1
-    assert f"while writing {blocked}" in capsys.readouterr().err
-    assert pools == ([] if workers == 1 else [(2, 3)])
+    assert main(argv + ["--config", str(cfg), "--out", str(out),
+                        "--grid", "2e9,3e9,16", "--grid", "1e9,11e9,32"]) == 0
+    assert (out / "plots.txt").read_text() == "\n".join(lines) + "\n"
 
 
 def test_spec_validation_catches_bad_knobs():

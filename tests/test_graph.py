@@ -432,11 +432,11 @@ def test_explosion_guard_fires_on_tiny_cap():
         list(enumerate_paths(graph, 6, max_paths=5))
 
 
-@pytest.mark.parametrize("bounces", [1.5, True])
+@pytest.mark.parametrize("bounces", [1.5, True, -1])
 def test_enumeration_depth_must_be_an_integer(bounces):
     graph = generate_realization(ScenarioConfig(seed=1, n_scatterers=3), (2e9, 3e9)).graph
     with pytest.raises(ValueError, match="max_bounces"):
-        list(enumerate_paths(graph, bounces))
+        enumerate_paths(graph, bounces)  # checked on call, before any path is asked for
 
 
 def test_enumeration_order_is_deterministic():

@@ -18,6 +18,7 @@ Deterministic claims:
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -531,6 +532,30 @@ def test_realization_json_round_trip():
     np.testing.assert_allclose(transfer_matrix(rebuilt.graph, f).matrix,
                                transfer_matrix(realization.graph, f).matrix,
                                rtol=1e-15)
+
+
+def _inter_scatter_gain(doc: dict) -> dict:
+    return next(e["gain"] for e in doc["graph"]["edges"] if "out_degree" in e["gain"])
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc.update(attempts=2.7), "attempts"),
+    (lambda doc: doc.update(attempts=0), "attempts"),
+    (lambda doc: doc.update(mu_es=-1.0), "mu_es"),
+    (lambda doc: doc.update(resolved_g="x"), "resolved_g"),
+    (lambda doc: _inter_scatter_gain(doc).update(out_degree=2.5), "out_degree"),
+    (lambda doc: doc["graph"]["edges"][0].update(phase_rad="1.0"), "phase_rad"),
+], ids=["attempts-fraction", "attempts-zero", "mu_es-negative", "resolved_g-string",
+        "out_degree-fraction", "phase_rad-string"])
+def test_json_documents_are_checked_like_config_files(edit, field):
+    realization = _default_realization(seed=1)
+    doc = json.loads(realization_to_json(realization))
+    edit(doc)
+    with pytest.raises(ValueError, match=field):
+        realization_from_json(json.dumps(doc))
+    if field in doc:  # a realization field: the constructor rejects the same value
+        with pytest.raises(ValidationError, match=field):
+            replace(realization, **{field: doc[field]})
 
 
 def test_realization_json_is_valid_json_document():
