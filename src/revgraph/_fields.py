@@ -48,6 +48,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _named(check, value, name: str):
+    """``check(value)``; a ValueError it raises names ``name``."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _array(value, shape: str, length: int | None = None) -> list:
     """A nonempty array, of exactly ``length`` entries when given."""
     if isinstance(value, np.ndarray):

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from ._fields import _integer, _number
+from ._fields import _integer, _named, _number
 
 __all__ = [
     "StructuralViolation",
@@ -73,14 +73,6 @@ class ExplosionGuard(RuntimeError):
 
 class InvalidWalk(ValueError):
     """A vertex sequence is not a valid propagation path."""
-
-
-def _named(check, value, name: str):
-    """``check(value)``; a ValueError it raises names ``name``."""
-    try:
-        return check(value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
 
 
 _count = partial(_named, _integer)  # an int; bools are not integers
@@ -465,22 +457,23 @@ class _EdgeRow(NamedTuple):
 class _EdgeTable:
     """A graph's edges grouped by block, with the loop's flat-gain norm bound.
 
-    A table may hold only some of the blocks; ``loop_bound`` needs the loop
-    block.  It is None unless every loop edge has a frequency-flat gain.
-    It is then the smaller of the max column and row sums of the loop's
-    amplitude matrix, inflated so that it bounds those sums of the moduli of
-    the stored samples at every frequency: a stored sample is the amplitude
-    times a rounded unit phasor, rounded once more, so its modulus exceeds
-    the amplitude by at most 2 eps relative, and the float sums of n
-    amplitudes fall short of the exact ones by at most (n - 1) eps / 2.
+    A table always holds all four blocks; :meth:`stacks` samples any of
+    them.  ``loop_bound`` is None unless every loop edge has a
+    frequency-flat gain.  It is then the smaller of the max column and row
+    sums of the loop's amplitude matrix, inflated so that it bounds those
+    sums of the moduli of the stored samples at every frequency: a stored
+    sample is the amplitude times a rounded unit phasor, rounded once more,
+    so its modulus exceeds the amplitude by at most 2 eps relative, and the
+    float sums of n amplitudes fall short of the exact ones by at most
+    (n - 1) eps / 2.
     """
 
     shapes: dict[str, tuple[int, int]]
     rows: dict[str, tuple[_EdgeRow, ...]]
 
     @classmethod
-    def of(cls, graph: "PropagationGraph", names=tuple(_BLOCK_OF_CLASS.values())) -> "_EdgeTable":
-        """The table of the edges of ``graph`` that lie in the blocks ``names``."""
+    def of(cls, graph: "PropagationGraph") -> "_EdgeTable":
+        """The table of the edges of ``graph``."""
         n_sc = graph.n_scatterers
         shapes = {
             "direct": (graph.n_rx, graph.n_tx),
@@ -488,14 +481,12 @@ class _EdgeTable:
             "loop": (n_sc, n_sc),
             "collect": (graph.n_rx, n_sc),
         }
-        rows: dict[str, list[_EdgeRow]] = {name: [] for name in names}
+        rows: dict[str, list[_EdgeRow]] = {name: [] for name in shapes}
         for e in graph.edges:
-            block = rows.get(_BLOCK_OF_CLASS[e.edge_class])
-            if block is not None:
-                flat = None if e.gain.frequency_dependent else float(e.gain.amplitude(1.0, e.delay_s))
-                block.append(_EdgeRow(
-                    e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s, flat
-                ))
+            flat = None if e.gain.frequency_dependent else float(e.gain.amplitude(1.0, e.delay_s))
+            rows[_BLOCK_OF_CLASS[e.edge_class]].append(_EdgeRow(
+                e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s, flat
+            ))
         return cls(shapes=shapes, rows={name: tuple(r) for name, r in rows.items()})
 
     @cached_property
@@ -513,17 +504,17 @@ class _EdgeTable:
         sums = (amplitude.sum(axis=0).max(initial=0.0), amplitude.sum(axis=1).max(initial=0.0))
         return float(min(sums)) * (1.0 + (len(amplitude) + 4) * math.ulp(1.0))
 
-    def stacks(self, f: np.ndarray) -> dict[str, np.ndarray]:
-        """Frequency-minor blocks (rows, cols, m) of the tabulated blocks on the checked axis ``f``.
+    def stacks(self, f: np.ndarray, names=tuple(_BLOCK_OF_CLASS.values())) -> dict[str, np.ndarray]:
+        """Frequency-minor blocks (rows, cols, m) named in ``names`` on the checked axis ``f``.
 
         Each edge's row is written by :func:`_edge_samples`, the formula of
         :meth:`Edge.transfer_value`.  The storage is fresh and writable; the
         caller owns it.
         """
         out = {}
-        for name, rows in self.rows.items():
+        for name in names:
             stack = np.zeros(self.shapes[name] + f.shape, dtype=complex)
-            for row in rows:
+            for row in self.rows[name]:
                 amplitude = row.gain.amplitude(f, row.delay_s) if row.flat is None else row.flat
                 _edge_samples(row.phase, row.two_pi_delay, amplitude, f, stack[row.dst, row.src])
             out[name] = stack
@@ -555,17 +546,6 @@ def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
         blocks[name] = np.moveaxis(stack, -1, 0)
         blocks[name].setflags(write=False)
     return BlockSamples(freqs=f, **blocks)
-
-
-def _receiver_side_samples(graph: PropagationGraph, freqs) -> tuple[np.ndarray, np.ndarray]:
-    """The direct and collect blocks of ``graph`` alone, frequency-minor (rows, cols, m).
-
-    Only the receiver-side edges are tabulated, and the frequencies are
-    checked against their gains alone.
-    """
-    table = _EdgeTable.of(graph, ("direct", "collect"))
-    stacks = table.stacks(_frequency_axis(table, freqs))
-    return stacks["direct"], stacks["collect"]
 
 
 def adjacency_blocks(graph: PropagationGraph, freq_hz: float) -> AdjacencyBlocks:

@@ -499,8 +499,9 @@ def relocate_receiver(
     then gets its class's gain law rebuilt from the new delays, because the
     scatterer-to-receiver statistics depend on them.  Feed and loop edges
     are the very ``Edge`` objects of ``graph``, in the same order, so the
-    scatterer-side blocks cannot change.  Only graphs whose receiver-side
-    edges carry in-room gain laws can be relocated.
+    scatterer-side blocks cannot change (a spatial sweep checks their rows
+    by value).  Only graphs whose receiver-side edges carry in-room gain
+    laws can be relocated.
     """
     if graph.positions is None:
         raise MissingPositions("relocation needs vertex positions")

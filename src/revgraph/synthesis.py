@@ -30,16 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import _check_band, _integer, _number
-from .graph import PropagationGraph, VertexKind, _receiver_side_samples
+from ._fields import _check_band, _integer, _named, _number
+from .graph import PropagationGraph
 from .scenario import ScenarioConfig, ScenarioRealization, generate_realization, relocate_receiver
 from .transfer import (
     BounceRange,
     SpectralRadiusExceededAt,
     TransferSample,
-    _matmul,
+    _sample_placements,
     _sample_slices,
-    _sample_solution,
 )
 
 __all__ = [
@@ -216,6 +215,25 @@ def sample_transfer(
     return ResponseSamples(grid=grid, bounce_range=bounce_range, tensor=tensor)
 
 
+def _nonempty(bounce_ranges) -> tuple[BounceRange, ...]:
+    """``bounce_ranges`` as a tuple, refused when empty, before anything is sampled."""
+    bounce_ranges = tuple(bounce_ranges)
+    if not bounce_ranges:
+        raise ValueError("need at least one bounce range")
+    return bounce_ranges
+
+
+def _pair_indices(rx_index, tx_index, n_rx: int, n_tx: int) -> tuple[int, int]:
+    """``rx_index`` and ``tx_index`` checked as indices below ``n_rx`` and ``n_tx``."""
+    pair = []
+    for name, index, count in (("rx_index", rx_index, n_rx), ("tx_index", tx_index, n_tx)):
+        index = _named(_integer, index, name)
+        if not 0 <= index < count:
+            raise ValueError(f"{name} must lie in [0, {count}), got {index}")
+        pair.append(index)
+    return tuple(pair)
+
+
 def sample_transfer_slices(
     graph: PropagationGraph, grid: FrequencyGrid, bounce_ranges
 ) -> tuple[ResponseSamples, ...]:
@@ -226,7 +244,7 @@ def sample_transfer_slices(
     requested range needs, and multiplied by the solved feed once per
     order.
     """
-    bounce_ranges = tuple(bounce_ranges)
+    bounce_ranges = _nonempty(bounce_ranges)
     tensors = _sample_slices(graph, grid.frequencies(), bounce_ranges)
     return tuple(
         ResponseSamples(grid=grid, bounce_range=r, tensor=t)
@@ -395,14 +413,16 @@ def ensemble_spectra(
     single run stays in this process.  Each run's powers are
     added to a running total per range as results arrive, in run-index order
     either way, so pooled results match the serial ones bit for bit and
-    memory stays independent of ``n_runs``.
+    memory stays independent of ``n_runs``.  Every argument, the pair
+    indices among them, is checked before the first run is drawn.
     """
     n_runs = _integer(n_runs)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if window.grid != grid:
         raise LengthMismatch("window grid differs from the sampling grid")
-    bounce_ranges = tuple(bounce_ranges)
+    bounce_ranges = _nonempty(bounce_ranges)
+    rx_index, tx_index = _pair_indices(rx_index, tx_index, config.n_rx, config.n_tx)
     run = partial(_ensemble_run_powers, grid=grid, bounce_ranges=bounce_ranges,
                   window=window, rx_index=rx_index, tx_index=tx_index)
     seeds = range(config.seed, config.seed + n_runs)
@@ -459,16 +479,15 @@ def spatial_spectrum(
 ) -> DelayPowerSpectrum:
     """Average |y|^2 over receiver placements of a single realization.
 
-    Each placement moves the receiver with :func:`relocate_receiver` and
-    samples only its receiver-side edges (delays and gain laws of direct and
-    scatterer-to-receiver edges); the scatterer-side blocks and the
-    per-frequency solves are computed once and shared.  The solved feed
-    Z = (I - loop)^-1 feed is all a placement needs: its response is
-    collect @ Z + direct, so the loop block is not kept.  That sharing is
-    guarded: a move must keep the transmitter and scatterer counts and give
-    back the very scatterer-side ``Edge`` objects, in the same order, which
-    fixes the feed and loop blocks.  A move that does not raises
-    :class:`RuntimeError`.
+    Each placement moves receiver ``rx_index`` with :func:`relocate_receiver`.
+    The placements share one per-frequency solve Z = (I - loop)^-1 feed of
+    the unmoved graph, and each samples only its receiver-side blocks
+    (direct and scatterer-to-receiver edges), because a move changes
+    nothing else.  That sharing is guarded by value: a moved graph must
+    keep the block shapes and the feed and loop edges (indices, delays,
+    phases and gains), or :class:`RuntimeError` is raised.  ``rx_index``
+    and ``tx_index`` are checked against the graph's counts before the
+    solve.
     """
     graph = realization.graph if isinstance(realization, ScenarioRealization) else realization
     positions = [tuple(float(c) for c in p) for p in rx_positions]
@@ -476,26 +495,11 @@ def spatial_spectrum(
         raise ValueError("need at least one receiver position")
     if window.grid != grid:
         raise LengthMismatch("window grid differs from the sampling grid")
-    freqs = grid.frequencies()
-    _, _, zt = _sample_solution(graph, freqs)
-    scatter_side = tuple(
-        e for e in graph.edges if e.dst.kind is not VertexKind.RX
-    )
+    rx_index, tx_index = _pair_indices(rx_index, tx_index, graph.n_rx, graph.n_tx)
+    placements = (relocate_receiver(graph, rx_index, p) for p in positions)
     total = np.zeros(grid.n_samples)
-    for position in positions:
-        moved = relocate_receiver(graph, rx_index, position)
-        moved_scatter_side = tuple(
-            e for e in moved.edges if e.dst.kind is not VertexKind.RX
-        )
-        if (
-            (moved.n_tx, moved.n_scatterers) != (graph.n_tx, graph.n_scatterers)
-            or len(scatter_side) != len(moved_scatter_side)
-            or not all(a is b for a, b in zip(scatter_side, moved_scatter_side))
-        ):
-            raise RuntimeError("receiver move altered scatterer-side edges")
-        direct, collect = _receiver_side_samples(moved, freqs)
-        response = _matmul(collect, zt) + direct
-        total += impulse_response(response[rx_index, tx_index], window).power()
+    for response in _sample_placements(graph, grid.frequencies(), placements):
+        total += impulse_response(response[:, rx_index, tx_index], window).power()
     return DelayPowerSpectrum(
         power=total / len(positions),
         grid=grid,

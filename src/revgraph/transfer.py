@@ -9,10 +9,11 @@ the precondition, :class:`PrecomputedKernel` solves against (I - loop),
 and :func:`bounce_slices` forms the slices.  Every solve of a graph starts
 at one entry, :func:`_sample_system`, which samples the blocks on a
 frequency array and returns them with their checked, factored kernel;
-:func:`_sample_slices` adds the solve of the feed and the slices.  The grid
-sampling and spatial sweeps in ``synthesis`` call them with a grid, and
-each single-frequency function below with ``[freq_hz]``: one frequency is
-the m = 1 case of a stack.
+:func:`_sample_slices` adds the solve of the feed and the slices, and
+:func:`_sample_placements` shares that solve among receiver placements.
+The grid sampling and spatial sweeps in ``synthesis`` call them with a grid,
+and each single-frequency function below with ``[freq_hz]``: one frequency
+is the m = 1 case of a stack.  :func:`_slices` alone forms the closed form.
 
 Internally every stack is frequency-minor, (rows, cols, m), so the work is
 elementwise numpy arithmetic on contiguous rows of m samples:
@@ -44,7 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import PropagationGraph, adjacency_blocks, block_samples
+from ._fields import _integer, _named
+from .graph import PropagationGraph, _frequency_axis, adjacency_blocks, block_samples
 
 __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
@@ -201,6 +203,23 @@ def verify_contraction(loop: np.ndarray, freqs) -> None:
     _certify(_stack(loop), np.broadcast_to(freqs, loop.shape[:-2]).ravel(), None)
 
 
+def _bounce_order(value, end: str) -> int | float:
+    """An end of a bounce range as an int; ``last`` may also be ``math.inf``.
+
+    Integer-valued reals are accepted; bools are not.
+    """
+    if end == "last" and isinstance(value, float) and value == math.inf:
+        return math.inf
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value >= 0 and int(value) == value)
+    ):
+        kind = "a nonnegative integer or infinity" if end == "last" else "a nonnegative integer"
+        raise ValueError(f"{end} must be {kind}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BounceRange:
     """Inclusive range of bounce orders, ``last`` may be ``math.inf``."""
@@ -209,18 +228,8 @@ class BounceRange:
     last: int | float = math.inf
 
     def __post_init__(self) -> None:
-        first = self.first
-        if (
-            isinstance(first, bool)
-            or not isinstance(first, numbers.Real)
-            or not (math.isfinite(first) and first >= 0 and int(first) == first)
-        ):
-            raise ValueError(f"first must be a nonnegative integer, got {first!r}")
-        object.__setattr__(self, "first", int(self.first))
-        if not (isinstance(self.last, int) or self.last == math.inf):
-            if not (math.isfinite(self.last) and float(self.last) == int(self.last)):
-                raise ValueError(f"last must be an integer or infinity, got {self.last}")
-            object.__setattr__(self, "last", int(self.last))
+        for end in ("first", "last"):
+            object.__setattr__(self, end, _bounce_order(getattr(self, end), end))
         if not math.isinf(self.last) and self.last < self.first:
             raise ValueError(f"need first <= last, got {self.first}:{self.last}")
 
@@ -507,6 +516,25 @@ def _sample_slices(graph: PropagationGraph, freqs, bounce_ranges) -> list[np.nda
     return [_unstack(s, zt.shape[-1:]) for s in _slices(direct, powers, zt, bounce_ranges)]
 
 
+def _sample_placements(graph: PropagationGraph, freqs, placements):
+    """The full-range response (m, n_rx, n_tx) of each graph in ``placements``, taken lazily.
+
+    Each is ``graph`` with a receiver moved.  A move changes only the direct
+    and collect blocks, so Z = (I - loop)^-1 feed of ``graph`` serves every
+    placement, which samples those two blocks alone.  Its table must hold the block shapes and the feed and loop rows
+    (indices, delays, phases, gains) of ``graph``'s, or RuntimeError is raised.
+    """
+    _, _, zt = _sample_solution(graph, freqs)
+    base = graph._edge_table
+    scatterer_side = (base.shapes, base.rows["feed"], base.rows["loop"])
+    for table in (placement._edge_table for placement in placements):
+        if (table.shapes, table.rows["feed"], table.rows["loop"]) != scatterer_side:
+            raise RuntimeError("receiver move altered scatterer-side edges")
+        blocks = table.stacks(_frequency_axis(table, freqs), ("direct", "collect"))
+        (response,) = _slices(blocks["direct"], [blocks["collect"]], zt, (BounceRange.full(),))
+        yield _unstack(response, zt.shape[-1:])
+
+
 def transfer_matrix(graph: PropagationGraph, freq_hz: float) -> TransferSample:
     """Full transfer matrix: direct block plus the resolvent-collapsed series."""
     return partial_transfer_matrix(graph, freq_hz, BounceRange.full())
@@ -514,6 +542,7 @@ def transfer_matrix(graph: PropagationGraph, freq_hz: float) -> TransferSample:
 
 def k_bounce_matrix(graph: PropagationGraph, freq_hz: float, k: int) -> TransferSample:
     """Contribution of exactly-k-bounce paths (finite product, no convergence needed)."""
+    k = _named(_integer, k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     blocks = adjacency_blocks(graph, freq_hz)
@@ -539,6 +568,7 @@ def truncation_error(
     graph: PropagationGraph, freq_hz: float, truncation_order: int
 ) -> tuple[TransferSample, float]:
     """Tail beyond a bounce-order truncation and its Frobenius norm."""
+    truncation_order = _named(_integer, truncation_order, "truncation_order")
     if truncation_order < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
     tail = partial_transfer_matrix(graph, freq_hz, BounceRange.tail(truncation_order + 1))

@@ -546,6 +546,44 @@ def test_ensemble_run_count_must_be_a_positive_integer(n_runs, message):
         ensemble_spectra(ScenarioConfig(), grid, n_runs, hann_window(grid))
 
 
+def _forbid_work(monkeypatch):
+    """Make drawing a realization or sampling a graph fail the test."""
+    import revgraph.synthesis
+    import revgraph.transfer
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the arguments were checked")
+
+    monkeypatch.setattr(revgraph.synthesis, "generate_realization", no_work)
+    monkeypatch.setattr(revgraph.transfer, "block_samples", no_work)
+
+
+@pytest.mark.parametrize("name, bad", [("rx_index", -1), ("rx_index", 2), ("rx_index", True),
+                                       ("tx_index", -1), ("tx_index", 5), ("tx_index", 1.0)])
+@pytest.mark.parametrize("mode", ["ensemble", "spatial"])
+def test_pair_indices_are_checked_before_any_work(monkeypatch, mode, name, bad):
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    window = hann_window(grid)
+    realization = generate_realization(TWO_BY_TWO, BAND)
+    position = tuple(realization.graph.position(rx(0)))
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{name}"):
+        if mode == "ensemble":
+            ensemble_spectra(TWO_BY_TWO, grid, 2, window, **{name: bad})
+        else:
+            spatial_spectrum(realization, [position], grid, window, **{name: bad})
+
+
+def test_empty_bounce_ranges_are_refused_before_sampling(monkeypatch):
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    graph = _small_realization(seed=84).graph
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="at least one bounce range"):
+        ensemble_spectra(ScenarioConfig(), grid, 2, hann_window(grid), bounce_ranges=[])
+    with pytest.raises(ValueError, match="at least one bounce range"):
+        sample_transfer_slices(graph, grid, [])
+
+
 def test_ensemble_memory_does_not_grow_with_runs():
     # Powers are summed as runs arrive, so peak memory must not hold one
     # array per run: the peak may grow by less than one M-sample float64
@@ -724,6 +762,32 @@ def test_spatial_rejects_a_move_that_alters_the_feed(monkeypatch):
     position = tuple(realization.graph.position(rx(0)))
     with pytest.raises(RuntimeError, match="receiver move altered"):
         spatial_spectrum(realization, [position], grid, hann_window(grid))
+
+
+def test_spatial_compares_scatterer_side_edges_by_value(monkeypatch):
+    import dataclasses
+
+    import revgraph.synthesis as synthesis
+    from revgraph.graph import VertexKind
+
+    realization = _small_realization(seed=82)
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    window = hann_window(grid)
+    base = np.asarray(realization.graph.position(rx(0)))
+    positions = [tuple(base), tuple(base + 0.01)]
+    expected = spatial_spectrum(realization, positions, grid, window)
+    honest = synthesis.relocate_receiver
+
+    def copy_scatter_side(graph, rx_index, position):
+        moved = honest(graph, rx_index, position)
+        # equal feed and loop edges, but new objects
+        edges = tuple(e if e.dst.kind is VertexKind.RX else dataclasses.replace(e) for e in moved.edges)
+        assert not any(a is b for a, b in zip(edges, moved.edges) if a.dst.kind is not VertexKind.RX)
+        return dataclasses.replace(moved, edges=edges)
+
+    monkeypatch.setattr(synthesis, "relocate_receiver", copy_scatter_side)
+    copied = spatial_spectrum(realization, positions, grid, window)
+    assert copied.power.tobytes() == expected.power.tobytes()
 
 
 def test_spectrum_validation():

@@ -356,6 +356,18 @@ def test_k_bounce_needs_no_contraction():
         k_bounce_matrix(graph, PROBE_HZ, -1)
 
 
+@pytest.mark.parametrize("call, name", [
+    (k_bounce_matrix, "k"),
+    (truncation_error, "truncation_order"),
+])
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_bounce_order_arguments_are_named_integers(call, name, bad):
+    # each function names its own argument, not an end of the range it builds
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+        call(_toy(7), PROBE_HZ, bad)
+    assert call(_toy(7), PROBE_HZ, np.int64(2)) is not None
+
+
 def test_k_bounce_matches_walk_sum_on_small_graph():
     rng = np.random.default_rng(8)
     graph = _with_loop_radius(_dense_graph(rng, n_tx=1, n_rx=1, n_sc=3), 0.6)
@@ -416,6 +428,12 @@ def test_bounce_range_validation_and_labels():
             BounceRange(first)
     for first in (2.0, np.int64(2), np.float64(2.0)):
         assert type(BounceRange(first).first) is int and BounceRange(first).first == 2
+    for last in (True, "3", 1.5, -1, np.int64(-1)):
+        with pytest.raises(ValueError, match="^last must be"):
+            BounceRange(0, last)
+    for last in (3.0, np.int64(3), np.float64(3.0)):
+        assert type(BounceRange(0, last).last) is int and BounceRange(0, last).label == "0:3"
+    assert BounceRange(0, np.float64(math.inf)).last is math.inf
 
 
 # -- truncation tail ----------------------------------------------------------
