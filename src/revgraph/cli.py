@@ -496,8 +496,7 @@ def _validation_checks(spec: ExperimentSpec, probe_grid: FrequencyGrid, realizat
 
     def contraction():
         for grid in spec.grids:
-            freqs = grid.frequencies()
-            verify_contraction(block_samples(graph, freqs).loop, freqs)
+            verify_contraction(block_samples(graph, grid).loop, grid)
 
     def resolvent_split():
         for f in (probe_grid.f_min_hz, probe_grid.f_max_hz):

@@ -111,6 +111,10 @@ class FrequencyGrid:
     def frequencies(self) -> np.ndarray:
         return self.f_min_hz + self.delta_f * np.arange(self.n_samples)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # np.asarray and np.size see the grid's M frequencies
+        return self.frequencies().astype(dtype or float, copy=False)
+
     def delays(self) -> np.ndarray:
         return self.delta_tau * np.arange(self.n_samples)
 
@@ -195,7 +199,12 @@ class ResponseSamples:
         return TransferSample(freq, self.tensor[m], self.bounce_range)
 
     def pair(self, rx_index: int = 0, tx_index: int = 0) -> np.ndarray:
-        """Scalar response of one transmitter-receiver pair, shape (M,)."""
+        """Scalar response of one transmitter-receiver pair, shape (M,).
+
+        The indices must be integers below the receiver and transmitter counts.
+        """
+        _, n_rx, n_tx = self.tensor.shape
+        rx_index, tx_index = _pair_indices(rx_index, tx_index, n_rx, n_tx)
         return self.tensor[:, rx_index, tx_index]
 
 
@@ -211,7 +220,7 @@ def sample_transfer(
     bound when every loop gain is frequency-flat and that bound certifies
     it, sample by sample otherwise.
     """
-    (tensor,) = _sample_slices(graph, grid.frequencies(), (bounce_range,))
+    (tensor,) = _sample_slices(graph, grid, (bounce_range,))
     return ResponseSamples(grid=grid, bounce_range=bounce_range, tensor=tensor)
 
 
@@ -245,7 +254,7 @@ def sample_transfer_slices(
     order.
     """
     bounce_ranges = _nonempty(bounce_ranges)
-    tensors = _sample_slices(graph, grid.frequencies(), bounce_ranges)
+    tensors = _sample_slices(graph, grid, bounce_ranges)
     return tuple(
         ResponseSamples(grid=grid, bounce_range=r, tensor=t)
         for r, t in zip(bounce_ranges, tensors)
@@ -390,7 +399,7 @@ def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
 
 def _ensemble_run_powers(config, grid, bounce_ranges, window, rx_index, tx_index):
     realization = generate_realization(config, grid)
-    tensors = _sample_slices(realization.graph, grid.frequencies(), bounce_ranges)
+    tensors = _sample_slices(realization.graph, grid, bounce_ranges)
     return [impulse_response(t[:, rx_index, tx_index], window).power() for t in tensors]
 
 
@@ -498,7 +507,7 @@ def spatial_spectrum(
     rx_index, tx_index = _pair_indices(rx_index, tx_index, graph.n_rx, graph.n_tx)
     placements = (relocate_receiver(graph, rx_index, p) for p in positions)
     total = np.zeros(grid.n_samples)
-    for response in _sample_placements(graph, grid.frequencies(), placements):
+    for response in _sample_placements(graph, grid, placements):
         total += impulse_response(response[:, rx_index, tx_index], window).power()
     return DelayPowerSpectrum(
         power=total / len(positions),

@@ -8,12 +8,26 @@ module is the one home of that engine: :func:`verify_contraction` checks
 the precondition, :class:`PrecomputedKernel` solves against (I - loop),
 and :func:`bounce_slices` forms the slices.  Every solve of a graph starts
 at one entry, :func:`_sample_system`, which samples the blocks on a
-frequency array and returns them with their checked, factored kernel;
-:func:`_sample_slices` adds the solve of the feed and the slices, and
-:func:`_sample_placements` shares that solve among receiver placements.
-The grid sampling and spatial sweeps in ``synthesis`` call them with a grid,
-and each single-frequency function below with ``[freq_hz]``: one frequency
-is the m = 1 case of a stack.  :func:`_slices` alone forms the closed form.
+frequency grid or array and returns them with their checked, factored
+kernel; :func:`_sample_slices` adds the solve of the feed and the slices,
+and :func:`_sample_placements` shares that solve among receiver placements.
+The grid sampling and spatial sweeps in ``synthesis`` call them with a
+:class:`~revgraph.synthesis.FrequencyGrid`, and each single-frequency
+function below with ``[freq_hz]``: one frequency is the m = 1 case of a
+stack.  :func:`_slices` alone forms the closed form.
+
+Parity.  The same arithmetic runs on every stack, so what a solve returns
+depends only on the blocks it is given:
+
+* An array of frequencies, ``[freq_hz]`` among them, is sampled by the edge
+  formula of :meth:`~revgraph.graph.Edge.transfer_value`.  One sample and a
+  stack of them agree bit for bit.
+* A grid is sampled in a factored form (:func:`revgraph.graph._grid_samples`)
+  that needs about 2 sqrt(M) cos and sin evaluations per edge instead of
+  M.  Its edge samples agree with the edge formula within
+  16 eps (1 + 2 pi delay f) of the amplitude, and grid transfer matrices
+  with single-frequency calls within 1e-12 of the largest |H| on the grid
+  (measured: 6e-14 on the default rooms).  Reruns stay bit for bit.
 
 Internally every stack is frequency-minor, (rows, cols, m), so the work is
 elementwise numpy arithmetic on contiguous rows of m samples:
@@ -33,7 +47,7 @@ elementwise numpy arithmetic on contiguous rows of m samples:
   after the solve only through products collect @ loop^j, so those are
   formed on the receiver side before the factorization.
 * Products multiply whole rows of equal shape, never in place, so one
-  sample and a stack agree bit for bit.
+  sample and a stack of the same blocks agree bit for bit.
 """
 
 from __future__ import annotations
@@ -278,7 +292,9 @@ class TransferSample:
 # equal shape, (m,) by (m,), and never into one of their own operands.  numpy
 # may round a complex product differently (fused multiply-add) when it is
 # broadcast to a single element or written in place, and then one sample and
-# a stack would no longer agree bit for bit.
+# a stack of the same blocks would no longer agree bit for bit.  Blocks
+# sampled on a grid are not those of single-frequency calls: they agree with
+# them to rounding only (see the module docstring).
 
 
 def _factor(a: np.ndarray) -> None:
@@ -393,6 +409,8 @@ def _sample_system(
     graph: PropagationGraph, freqs, top: int = 0
 ) -> tuple[dict[str, np.ndarray], PrecomputedKernel, list[np.ndarray]]:
     """The blocks of ``graph`` sampled once on ``freqs``, and their checked, factored kernel.
+
+    ``freqs`` is a frequency grid or an array, as :func:`block_samples` takes.
 
     Returns the frequency-minor ``direct``, ``feed`` and ``collect`` blocks,
     which the caller owns; the kernel, which factors I - loop in the loop
@@ -530,7 +548,7 @@ def _sample_placements(graph: PropagationGraph, freqs, placements):
     for table in (placement._edge_table for placement in placements):
         if (table.shapes, table.rows["feed"], table.rows["loop"]) != scatterer_side:
             raise RuntimeError("receiver move altered scatterer-side edges")
-        blocks = table.stacks(_frequency_axis(table, freqs), ("direct", "collect"))
+        blocks = table.stacks(*_frequency_axis(table, freqs), ("direct", "collect"))
         (response,) = _slices(blocks["direct"], [blocks["collect"]], zt, (BounceRange.full(),))
         yield _unstack(response, zt.shape[-1:])
 

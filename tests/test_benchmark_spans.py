@@ -6,6 +6,9 @@ installs the spans on a fresh tracer, drives small ``revgraph validate``,
 ``spatial``, ``ensemble`` and ``dissect`` runs through them, and removes them
 again; it only reads ``perfbench/``.  The ``ensemble`` spectrum files must be
 written in this process, where a traced run sees them, at any worker count.
+Grid-driven sampling must reach the ``graph.block_samples`` span with an
+argument whose size is the grid's M, so that the span counts M edge samples
+per edge.
 """
 
 import importlib
@@ -16,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import revgraph.cli
+from revgraph.scenario import ScenarioConfig, generate_realization
+from revgraph.synthesis import FrequencyGrid, ensemble_spectra, hann_window, sample_transfer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,19 +35,24 @@ def _revgraph_callables() -> dict:
     }
 
 
-def _traced_main(monkeypatch, argv):
-    """Run ``revgraph.cli.main(argv)`` with the benchmark's spans installed; the exit status and tracer."""
+def _traced(monkeypatch, call):
+    """Run ``call()`` with the benchmark's spans installed; its result and the tracer."""
     monkeypatch.syspath_prepend(str(ROOT))
     install_spans = importlib.import_module("perfbench.run").install_spans
     tracer = importlib.import_module("perfbench.tracing").Tracer()
     before = _revgraph_callables()
     try:
         install_spans(tracer)
-        status = revgraph.cli.main(argv)
+        result = call()
     finally:
         tracer.uninstall()
     assert _revgraph_callables() == before
-    return status, tracer
+    return result, tracer
+
+
+def _traced_main(monkeypatch, argv):
+    """Run ``revgraph.cli.main(argv)`` with the benchmark's spans installed; the exit status and tracer."""
+    return _traced(monkeypatch, lambda: revgraph.cli.main(argv))
 
 
 def test_benchmark_spans_wrap_existing_functions(monkeypatch, capsys):
@@ -86,3 +96,19 @@ def test_benchmark_spans_see_ensemble_and_dissect(monkeypatch, capsys, tmp_path,
         ])
         assert status == 0, capsys.readouterr()
         assert tracer.calls("synthesis.write_csv") == 2
+
+
+@pytest.mark.parametrize("entry", ["sample_transfer", "ensemble_spectra"])
+def test_grid_sampling_counts_m_samples_per_edge(monkeypatch, entry):
+    grid = FrequencyGrid(2e9, 3e9, 64)
+    config = ScenarioConfig(seed=4)
+    seeds = (4,) if entry == "sample_transfer" else (4, 5)
+    graphs = [generate_realization(ScenarioConfig(seed=seed), grid).graph for seed in seeds]
+    if entry == "sample_transfer":
+        call = lambda: sample_transfer(graphs[0], grid)
+    else:
+        call = lambda: ensemble_spectra(config, grid, len(seeds), hann_window(grid))
+    _, tracer = _traced(monkeypatch, call)
+    assert tracer.calls("graph.block_samples") == len(seeds)
+    expected = sum(len(graph.edges) for graph in graphs) * grid.n_samples
+    assert tracer.counters["graph.block_samples.edge_samples"] == expected

@@ -5,8 +5,10 @@ Covers:
   rejection, scatterer self-loops allowed at this layer, position coverage
 - block evaluation: sparsity pattern matches the edge set, assembled full
   matrix keeps transmitter rows and receiver columns empty, Friis gain hits
-  magnitude one at 4*pi*f*tau = 1, phase changes only the argument, and
-  sampled blocks stay read-only and unchanged through engine calls
+  magnitude one at 4*pi*f*tau = 1, phase changes only the argument,
+  sampled blocks stay read-only and unchanged through engine calls, and
+  grid samples (factored phasors) agree with the edge formula within the
+  stated tolerance and are no less accurate against a long-double phasor
 - reversal: involution, block transposition, role swap of a feed edge
 - walk enumeration: documented example paths, counts on small topologies,
   the explosion guard, and path-product consistency with the blocks
@@ -326,9 +328,9 @@ def test_self_loop_sits_on_the_diagonal_and_counts_towards_the_flat_bound():
     # column sums 0.7 and 0.2, row sums 0.9 and 0: the self-loop sets the bound
     bound = graph._edge_table.loop_bound
     assert 0.7 <= bound <= 0.7 * (1.0 + 1e-14)
-    samples = block_samples(graph, np.linspace(1e9, 3e9, 64))
-    moduli = np.abs(np.moveaxis(samples.loop, 0, -1))
-    assert moduli.sum(axis=0).max() <= bound
+    for freqs in (np.linspace(1e9, 3e9, 64), FrequencyGrid(1e9, 3e9, 300)):
+        moduli = np.abs(np.moveaxis(block_samples(graph, freqs).loop, 0, -1))
+        assert moduli.sum(axis=0).max() <= bound
 
 
 def test_frequency_laws_leave_no_flat_bound():
@@ -345,6 +347,54 @@ def test_frequency_laws_leave_no_flat_bound():
     assert mixed._edge_table.loop_bound is None
 
 
+_BLOCK_OF = {EdgeClass.DIRECT: "direct", EdgeClass.TX_SCATTER: "feed",
+             EdgeClass.INTER_SCATTER: "loop", EdgeClass.SCATTER_RX: "collect"}
+
+
+def _grid_and_direct_samples(grid, seeds):
+    """Per edge of generated rooms: the edge, its grid samples, its transfer values, its amplitude."""
+    f = grid.frequencies()
+    for seed in seeds:
+        graph = generate_realization(ScenarioConfig(seed=seed), grid).graph
+        samples = block_samples(graph, grid)
+        for e in graph.edges:
+            on_grid = getattr(samples, _BLOCK_OF[e.edge_class])[:, e.dst.index, e.src.index]
+            yield e, on_grid, e.transfer_value(f), e.gain.amplitude(f, e.delay_s)
+
+
+@pytest.mark.parametrize("grid", [FrequencyGrid(2e9, 3e9, 8192), FrequencyGrid(1e9, 11e9, 8192),
+                                  FrequencyGrid(2e9, 3e9, 257)])
+def test_grid_samples_agree_with_edge_transfer_values(grid):
+    # the factored form's stated tolerance: 16 eps (1 + 2 pi delay f) of the amplitude
+    f = grid.frequencies()
+    eps = np.finfo(float).eps
+    for e, on_grid, direct, amplitude in _grid_and_direct_samples(grid, range(3)):
+        tolerance = 16 * eps * (1.0 + TWO_PI * e.delay_s * f) * amplitude
+        assert np.all(np.abs(on_grid - direct) <= tolerance), f"{e.src}->{e.dst}"
+    # an array of the same frequencies takes the direct formula, bit for bit
+    graph = generate_realization(ScenarioConfig(seed=0), grid).graph
+    on_array = block_samples(graph, f)
+    for e in graph.edges:
+        block = getattr(on_array, _BLOCK_OF[e.edge_class])
+        np.testing.assert_array_equal(block[:, e.dst.index, e.src.index], e.transfer_value(f))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double has no extra precision here")
+@pytest.mark.parametrize("grid", [FrequencyGrid(2e9, 3e9, 8192), FrequencyGrid(1e9, 11e9, 8192)])
+def test_grid_samples_are_no_less_accurate_than_the_direct_formula(grid):
+    # against a phasor evaluated in long double on the grid's exact frequencies
+    pi = 4 * np.arctan(np.longdouble(1))
+    f = np.longdouble(grid.f_min_hz) + np.longdouble(grid.delta_f) * np.arange(grid.n_samples)
+    worst_grid = worst_direct = 0.0
+    for e, on_grid, direct, amplitude in _grid_and_direct_samples(grid, range(2)):
+        x = np.longdouble(e.phase_rad) - 2 * pi * np.longdouble(e.delay_s) * f
+        exact = np.cos(x) + 1j * np.sin(x)
+        worst_grid = max(worst_grid, float(np.max(np.abs(on_grid / amplitude - exact))))
+        worst_direct = max(worst_direct, float(np.max(np.abs(direct / amplitude - exact))))
+    assert 0.0 < worst_grid <= worst_direct < 1e-12
+
+
 def test_stack_solves_equal_single_frequency_solves_bitwise():
     grid = FrequencyGrid(2e9, 3e9, 64)
     generated = generate_realization(ScenarioConfig(seed=5), grid).graph
@@ -355,10 +405,13 @@ def test_stack_solves_equal_single_frequency_solves_bitwise():
         certified = _sample_system(graph, freqs)[1].solve(samples.feed)
         np.testing.assert_array_equal(certified, stacked)
         tensor = sample_transfer(graph, grid).tensor
+        scale = np.abs(tensor).max()
         for m in range(grid.n_samples):
             single = PrecomputedKernel.from_loop_block(samples.loop[m], freqs[m])
             np.testing.assert_array_equal(stacked[m], single.solve(samples.feed[m]))
-            np.testing.assert_array_equal(tensor[m], transfer_matrix(graph, freqs[m]).matrix)
+            # a grid is sampled in factored form: equal to single-frequency calls to rounding
+            np.testing.assert_allclose(tensor[m], transfer_matrix(graph, freqs[m]).matrix,
+                                       rtol=0, atol=1e-12 * scale)
 
 
 # -- reversal ---------------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_scattererless_graph_samples_to_direct_values():
     # with no scatterers, slices from order 0 are the direct block, the rest zero
     for piece in sample_transfer_slices(graph, grid, _dissection_ranges(3)):
         if piece.bounce_range.first == 0:
-            np.testing.assert_array_equal(piece.pair(), direct)
+            np.testing.assert_allclose(piece.pair(), direct, rtol=1e-13)
         else:
             assert not piece.tensor.any()
 
@@ -572,6 +572,19 @@ def test_pair_indices_are_checked_before_any_work(monkeypatch, mode, name, bad):
             ensemble_spectra(TWO_BY_TWO, grid, 2, window, **{name: bad})
         else:
             spatial_spectrum(realization, [position], grid, window, **{name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [("rx_index", -1), ("rx_index", 2), ("rx_index", True),
+                                       ("tx_index", -1), ("tx_index", 2), ("tx_index", 1.0)])
+def test_response_pair_checks_its_indices(name, bad):
+    # a negative index would pick a pair from the end, a bool would become a mask
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    samples = sample_transfer(generate_realization(TWO_BY_TWO, BAND).graph, grid)
+    with pytest.raises(ValueError, match=f"^{name}"):
+        samples.pair(**{name: bad})
+    with pytest.raises(ValueError, match=f"^{name}"):
+        impulse_response(samples, hann_window(grid), **{name: bad})
+    np.testing.assert_array_equal(samples.pair(1, 0), samples.tensor[:, 1, 0])
 
 
 def test_empty_bounce_ranges_are_refused_before_sampling(monkeypatch):
