@@ -157,10 +157,6 @@ class ConstantGain:
             raise ValueError(f"constant gain must be finite and >= 0, got {self.value}")
 
     @property
-    def frequency_dependent(self) -> bool:
-        return False
-
-    @property
     def flat_amplitude(self) -> float:
         return float(self.value)
 
@@ -207,13 +203,9 @@ class FrequencyLawGain:
                 raise ValueError(f"out_degree must be >= 1, got {self.out_degree}")
 
     @property
-    def frequency_dependent(self) -> bool:
-        return self.law is not EdgeClass.INTER_SCATTER
-
-    @property
     def flat_amplitude(self) -> float | None:
         """The amplitude of the frequency-flat law, None for the others."""
-        return None if self.frequency_dependent else self.base_gain / self.out_degree
+        return self.base_gain / self.out_degree if self.law is EdgeClass.INTER_SCATTER else None
 
     def amplitude(self, freq_hz, delay_s: float) -> np.ndarray:
         f = np.asarray(freq_hz, dtype=float)
@@ -264,69 +256,67 @@ class Edge:
         return _CLASS_OF_ENDPOINTS[self.src.kind, self.dst.kind]
 
     def transfer_value(self, freq_hz):
-        """Complex transfer function of this edge at one or more frequencies."""
+        """Complex transfer function of this edge at one or more frequencies (see :func:`_edge_samples`)."""
         f = np.asarray(freq_hz, dtype=float)
-        value = _edge_samples(self.phase_rad, TWO_PI * self.delay_s,
-                              self.gain.amplitude(f, self.delay_s), f, np.empty(f.shape, complex))
+        value = np.empty(f.shape, dtype=complex)
+        _edge_samples((_EdgeRow.of(self),), f.ravel(), None, (value.reshape(-1),))
         return complex(value) if np.isscalar(freq_hz) else value
 
 
-def _phasors(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """cos x + j sin x, written into the complex array ``out`` (fresh when None)."""
-    out = np.empty(x.shape, dtype=complex) if out is None else out
+def _phasors(x: np.ndarray) -> np.ndarray:
+    """cos x + j sin x, as a fresh complex array."""
+    out = np.empty(x.shape, dtype=complex)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
 
 
-def _edge_samples(phase: float, two_pi_delay: float, amplitude, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write an edge's samples on ``f`` into the complex array ``out`` and return it.
+def _edge_samples(rows, f: np.ndarray, df: float | None, out) -> None:
+    """Write the samples of edge ``rows`` on the axis ``f`` into ``out``, one array per row.
 
-    This is the one formula for an edge sample at arbitrary frequencies: cos
-    and sin of phase - 2 pi delay f, then times the amplitude, amplitude
-    first.  Single frequencies and frequency arrays are sampled by it, bit
-    for bit; uniform grids are sampled in the factored form of
-    :func:`_grid_samples`, which agrees with it to rounding.
+    This is the one formula for an edge sample.  Writing m = bB + r, an
+    edge's phasor factors as
+
+        e^(j(phase - 2 pi delay f_bB)) * e^(-j 2 pi delay r df),
+
+    a coarse table on f[::B] times a fine table, taken for all rows at once.
+    A uniform grid (spacing ``df``) takes B = ceil(sqrt(M)), so a row costs
+    about 2 sqrt(M) cos and sin evaluations and one outer product of the two
+    tables instead of M evaluations.  Any other axis (``df`` None) takes
+    B = 1: every frequency is a coarse point and the fine table is exactly
+    1 - 0j, so a sample is the amplitude times cos and sin of
+    phase - 2 pi delay f whatever the rounding (up to the sign of a zero
+    part, which takes a zero gain), and one frequency and an array of them
+    agree bit for bit.  A flat amplitude scales the coarse table; any other
+    multiplies the row, amplitude first.  Frequencies must be finite, and
+    strictly positive when a row's amplitude is a law of frequency.
+
+    On a grid the factored form differs from the B = 1 one by rounding only:
+    each rounds an argument near 2 pi delay f, and the factored form adds
+    the roundings of a product of unit phasors.  The tolerance is
+    16 eps (1 + 2 pi delay f) of the amplitude; the default grids use at
+    most 3.1 of the 16, and there the factored form lies no further from a
+    long-double phasor than B = 1.
     """
-    return np.multiply(amplitude, _phasors(phase - two_pi_delay * f, out), out=out)
-
-
-def _grid_samples(rows, f: np.ndarray, origin: tuple[float, float], stack: np.ndarray) -> None:
-    """Write the samples of edge ``rows`` on the uniform grid ``f`` into their rows of ``stack``.
-
-    ``origin`` is (f_0, df), with f_m = f_0 + m df.  Writing m = bB + r with
-    B = ceil(sqrt(M)), an edge's phasor factors as
-
-        e^(j(phase - 2 pi delay (f_0 + bB df))) * e^(-j 2 pi delay r df),
-
-    so a row costs about 2 sqrt(M) cos and sin evaluations, taken for all
-    rows at once, and one outer product of the two tables, instead of M
-    evaluations.  A flat amplitude scales the coarse table; any other
-    multiplies the row, amplitude first, as in :func:`_edge_samples`.
-
-    The two forms differ by rounding only: each rounds an argument near
-    2 pi delay f, and the factored form adds the roundings of a product of
-    unit phasors.  The tolerance is 16 eps (1 + 2 pi delay f) of the
-    amplitude between a grid sample and that formula's; the default grids
-    use at most 3.1 of the 16, and there the factored form lies no further
-    from a long-double phasor than the direct one.
-    """
+    if not np.isfinite(f).all():
+        raise ValueError("frequencies must be finite")
+    if any(row.flat is None for row in rows) and not (f > 0.0).all():
+        raise ValueError("frequency-law gains require strictly positive frequencies")
     m = f.size
-    width = math.isqrt(m - 1) + 1  # B = ceil(sqrt(M))
+    width = 1 if df is None else math.isqrt(m - 1) + 1  # B
     whole, rest = divmod(m, width)
     two_pi_delay = np.array([row.two_pi_delay for row in rows])[:, None]
     phase = np.array([row.phase for row in rows])[:, None]
-    f0, df = origin
-    coarse = _phasors(phase - two_pi_delay * (f0 + df * (width * np.arange(whole + (rest > 0)))))
-    fine = _phasors(-(two_pi_delay * (df * np.arange(width))))
-    for row, c, r in zip(rows, coarse, fine):
+    coarse = _phasors(phase - two_pi_delay * f[::width])
+    fine = _phasors(two_pi_delay * (-(df or 0.0) * np.arange(width)))
+    for row, c, r, o in zip(rows, coarse, fine, out):
         if row.flat is not None:
             c = row.flat * c
-        out = stack[row.dst, row.src]
-        np.multiply(c[:whole, None], r, out=out[:whole * width].reshape(whole, width))
-        np.multiply(c[whole:], r[:rest], out=out[whole * width:])
+        np.multiply(c[:whole, None], r, out=o[:whole * width].reshape(whole, width))
+        if rest:
+            np.multiply(c[whole:], r[:rest], out=o[whole * width:])
         if row.flat is None:
-            np.multiply(row.gain.amplitude(f, row.delay_s), out, out=out)
+            np.multiply(row.gain.amplitude(f, row.delay_s), o, out=o)
 
 
 # -- Graph --------------------------------------------------------------------
@@ -507,6 +497,11 @@ class _EdgeRow(NamedTuple):
     delay_s: float
     flat: float | None  # the amplitude of a frequency-flat gain
 
+    @classmethod
+    def of(cls, e: Edge) -> "_EdgeRow":
+        return cls(e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s,
+                   e.gain.flat_amplitude)
+
 
 @dataclass(frozen=True)
 class _EdgeTable:
@@ -516,13 +511,13 @@ class _EdgeTable:
     them.  ``loop_bound`` is None unless every loop edge has a
     frequency-flat gain.  It is then the smaller of the max column and row
     sums of the loop's amplitude matrix, inflated so that it bounds those
-    sums of the moduli of the stored samples at every frequency.  A sample
-    on an array is the amplitude times a rounded unit phasor, rounded once
-    more; a grid sample is the amplitude times a rounded coarse phasor,
-    rounded, times a rounded fine phasor, rounded once more.  Either
-    modulus exceeds the amplitude by at most 4 eps relative, and the float
-    sums of n amplitudes fall short of the exact ones by at most
-    (n - 1) eps / 2; (n + 4) eps covers both.
+    sums of the moduli of the stored samples at every frequency.  An edge is
+    sampled by one factored formula (:func:`_edge_samples`; B = 1 on arrays,
+    so one frequency and an array of them agree bit for bit): a sample is
+    the amplitude times a rounded coarse phasor, rounded, times a rounded
+    fine phasor, rounded once more.  Its modulus exceeds the amplitude by
+    at most 4 eps relative, and the float sums of n amplitudes fall short of
+    the exact ones by at most (n - 1) eps / 2; (n + 4) eps covers both.
     """
 
     shapes: dict[str, tuple[int, int]]
@@ -540,15 +535,8 @@ class _EdgeTable:
         }
         rows: dict[str, list[_EdgeRow]] = {name: [] for name in shapes}
         for e in graph.edges:
-            rows[_BLOCK_OF_CLASS[e.edge_class]].append(_EdgeRow(
-                e.dst.index, e.src.index, TWO_PI * e.delay_s, e.phase_rad, e.gain, e.delay_s,
-                e.gain.flat_amplitude,
-            ))
+            rows[_BLOCK_OF_CLASS[e.edge_class]].append(_EdgeRow.of(e))
         return cls(shapes=shapes, rows={name: tuple(r) for name, r in rows.items()})
-
-    @cached_property
-    def frequency_dependent(self) -> bool:
-        return any(row.flat is None for rows in self.rows.values() for row in rows)
 
     @cached_property
     def loop_bound(self) -> float | None:
@@ -561,64 +549,42 @@ class _EdgeTable:
         sums = (amplitude.sum(axis=0).max(initial=0.0), amplitude.sum(axis=1).max(initial=0.0))
         return float(min(sums)) * (1.0 + (len(amplitude) + 4) * math.ulp(1.0))
 
-    def stacks(self, f: np.ndarray, origin: tuple[float, float] | None = None,
-               names=tuple(_BLOCK_OF_CLASS.values())) -> dict[str, np.ndarray]:
-        """Frequency-minor blocks (rows, cols, m) named in ``names`` on the checked axis ``f``.
+    def stacks(self, freqs, names=tuple(_BLOCK_OF_CLASS.values())) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The axis of ``freqs`` and the frequency-minor blocks (rows, cols, m) named in ``names`` on it.
 
-        With ``origin`` = (f_0, df) the axis is the uniform grid f_0 + m df,
-        and each edge's row is written in the factored form of
-        :func:`_grid_samples`; otherwise by :func:`_edge_samples`, the formula
-        of :meth:`Edge.transfer_value`, bit for bit.  The storage is fresh
-        and writable; the caller owns it.
+        ``freqs`` is an array of frequencies or a uniform grid.  A grid is
+        recognised by duck type, by its ``f_min_hz``, ``delta_f`` and
+        ``n_samples`` (this module cannot import the grid class); its axis is
+        its frequencies, and its spacing ``delta_f`` is passed on to
+        :func:`_edge_samples`.  The storage is fresh and writable; the caller
+        owns it.
         """
-        out = {}
-        for name in names:
-            stack = np.zeros(self.shapes[name] + f.shape, dtype=complex)
-            if origin is not None:
-                _grid_samples(self.rows[name], f, origin, stack)
-            else:
-                for row in self.rows[name]:
-                    amplitude = row.gain.amplitude(f, row.delay_s) if row.flat is None else row.flat
-                    _edge_samples(row.phase, row.two_pi_delay, amplitude, f, stack[row.dst, row.src])
-            out[name] = stack
-        return out
-
-
-def _frequency_axis(table: _EdgeTable, freqs) -> tuple[np.ndarray, tuple[float, float] | None]:
-    """The checked frequency array of ``freqs``, and (f_0, df) when ``freqs`` is a uniform grid.
-
-    A grid is recognised by duck type, by its ``f_min_hz``, ``delta_f`` and
-    ``n_samples`` (this module cannot import the grid class); its array is
-    its frequencies.  Anything else is taken as an array of frequencies.
-    """
-    origin = None
-    if all(hasattr(freqs, name) for name in ("f_min_hz", "delta_f", "n_samples")):
-        origin = (float(freqs.f_min_hz), float(freqs.delta_f))
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if f.ndim != 1:
-        raise ValueError("freqs must be one-dimensional")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("frequencies must be finite")
-    if table.frequency_dependent and np.any(f <= 0.0):
-        raise ValueError("frequency-law gains require strictly positive frequencies")
-    return f, origin
+        df = None
+        if all(hasattr(freqs, name) for name in ("f_min_hz", "delta_f", "n_samples")):
+            df = float(freqs.delta_f)
+        f = np.atleast_1d(np.asarray(freqs, dtype=float))
+        if f.ndim != 1:
+            raise ValueError("freqs must be one-dimensional")
+        out = {name: np.zeros(self.shapes[name] + f.shape, dtype=complex) for name in names}
+        rows = [row for name in names for row in self.rows[name]]
+        _edge_samples(rows, f, df, [out[name][row.dst, row.src] for name in names for row in self.rows[name]])
+        return f, out
 
 
 def block_samples(graph: PropagationGraph, freqs) -> BlockSamples:
     """Evaluate all adjacency blocks of ``graph`` on a frequency axis.
 
     ``freqs`` is an array of frequencies or a uniform frequency grid (see
-    :func:`_frequency_axis`).  Frequencies must be finite, and strictly
+    :meth:`_EdgeTable.stacks`).  Frequencies must be finite, and strictly
     positive whenever any edge carries a frequency-dependent gain law.  An
-    array is sampled by the formula of :meth:`Edge.transfer_value`, bit for
-    bit; a grid in the factored form of :func:`_grid_samples`, which agrees
-    with that formula to rounding.  The blocks are read-only views of fresh
-    storage (see :class:`BlockSamples`).
+    edge is sampled by one factored formula, :func:`_edge_samples`; B = 1 on
+    arrays, so one frequency and an array of them agree bit for bit, with
+    each other and with :meth:`Edge.transfer_value`.  The blocks are
+    read-only views of fresh storage (see :class:`BlockSamples`).
     """
-    table = graph._edge_table
-    f, origin = _frequency_axis(table, freqs)
+    f, stacks = graph._edge_table.stacks(freqs)
     blocks = {}
-    for name, stack in table.stacks(f, origin).items():
+    for name, stack in stacks.items():
         blocks[name] = np.moveaxis(stack, -1, 0)
         blocks[name].setflags(write=False)
     return BlockSamples(freqs=f, **blocks)
@@ -751,8 +717,9 @@ def walk_sum(
     the closed-form partial transfer matrix and is meant for small graphs.
 
     The result equals summing :func:`path_transfer` over
-    :func:`enumerate_paths` bit for bit, without building the walks: each
-    edge's transfer value is evaluated once, outbound edges are kept as
+    :func:`enumerate_paths` bit for bit, without building the walks: the
+    edges' transfer values are sampled once, as :func:`block_samples` samples
+    them (frequency checks included), outbound edges are kept as
     integer-indexed (next vertex, value) lists in the enumeration's order,
     and the depth-first search carries each walk's left-to-right product.
     Every path counts towards ``max_paths``, including those below
@@ -763,7 +730,8 @@ def walk_sum(
     max_bounces = _count(max_bounces, "max_bounces")
     if not 0 <= min_bounces <= max_bounces:
         raise ValueError(f"need 0 <= min_bounces <= max_bounces, got ({min_bounces}, {max_bounces})")
-    f = float(freq_hz)
+    _, stacks = graph._edge_table.stacks([float(freq_hz)])
+    values = {name: stack[..., 0].tolist() for name, stack in stacks.items()}
     n_sc = graph.n_scatterers
     # Scatterers are sources 0..n_sc-1, transmitters follow them.
     out_rx: list[list[tuple[int, complex]]] = [[] for _ in range(n_sc + graph.n_tx)]
@@ -771,7 +739,8 @@ def walk_sum(
     for buckets, out in ((graph._out_rx, out_rx), (graph._out_sc, out_sc)):
         for src, edges in buckets.items():
             source = src.index if src.kind is VertexKind.SCATTERER else n_sc + src.index
-            out[source] = [(e.dst.index, e.transfer_value(f)) for e in edges]
+            out[source] = [(e.dst.index, values[_BLOCK_OF_CLASS[e.edge_class]][e.dst.index][src.index])
+                           for e in edges]
     produced = 0
 
     def descend(source: int, acc: complex, bounces: int, column: list[complex]) -> None:

@@ -344,6 +344,7 @@ class DelayPowerSpectrum:
             raise ValueError(f"power shape {p.shape} does not match the grid")
         if not np.all(np.isfinite(p)) or np.any(p < 0.0):
             raise ValueError("power bins must be finite and nonnegative")
+        object.__setattr__(self, "count", _named(_integer, self.count, "count"))
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         p.setflags(write=False)

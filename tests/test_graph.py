@@ -8,7 +8,9 @@ Covers:
   magnitude one at 4*pi*f*tau = 1, phase changes only the argument,
   sampled blocks stay read-only and unchanged through engine calls, and
   grid samples (factored phasors) agree with the edge formula within the
-  stated tolerance and are no less accurate against a long-double phasor
+  stated tolerance and are no less accurate against a long-double phasor;
+  array samples (B = 1) equal that formula, written out here, bit for bit;
+  every edge sample checks its frequencies as block_samples does
 - reversal: involution, block transposition, role swap of a feed edge
 - walk enumeration: documented example paths, counts on small topologies,
   the explosion guard, and path-product consistency with the blocks
@@ -371,12 +373,111 @@ def test_grid_samples_agree_with_edge_transfer_values(grid):
     for e, on_grid, direct, amplitude in _grid_and_direct_samples(grid, range(3)):
         tolerance = 16 * eps * (1.0 + TWO_PI * e.delay_s * f) * amplitude
         assert np.all(np.abs(on_grid - direct) <= tolerance), f"{e.src}->{e.dst}"
-    # an array of the same frequencies takes the direct formula, bit for bit
+    # an array of the same frequencies is the B = 1 case: the direct formula, bit for bit
     graph = generate_realization(ScenarioConfig(seed=0), grid).graph
     on_array = block_samples(graph, f)
     for e in graph.edges:
         block = getattr(on_array, _BLOCK_OF[e.edge_class])
-        np.testing.assert_array_equal(block[:, e.dst.index, e.src.index], e.transfer_value(f))
+        np.testing.assert_array_equal(_bits(block[:, e.dst.index, e.src.index]), _bits(_direct_formula(e, f)))
+
+
+def _direct_formula(e, f):
+    """amplitude (cos x + j sin x) with x = phase - (2 pi delay) f, written out."""
+    x = e.phase_rad - (TWO_PI * e.delay_s) * f
+    return e.gain.amplitude(f, e.delay_s) * (np.cos(x) + 1j * np.sin(x))
+
+
+def _bits(samples):
+    """The bit patterns of complex samples, so that signs of zeros count."""
+    return np.ascontiguousarray(samples, dtype=complex).view(np.uint64)
+
+
+def _hand_built_graph():
+    """Every block, with a zero-delay direct edge and a zero-gain feed edge."""
+    edges = (
+        _edge(tx(0), rx(0), gain=0.8, phase=1.1, delay=0.0),
+        _edge(tx(0), scatterer(0), gain=0.0, phase=0.4, delay=3e-9),
+        _edge(tx(0), scatterer(1), gain=0.6, phase=2.0, delay=5e-9),
+        _edge(scatterer(0), scatterer(1), gain=0.3, phase=0.7, delay=2e-9),
+        _edge(scatterer(1), scatterer(0), gain=0.2, phase=5.9, delay=2e-9),
+        Edge(scatterer(1), rx(0), FrequencyLawGain(EdgeClass.SCATTER_RX, mean_delay_s=1e-8,
+                                                   inv_sq_delay_sum=1e16), 3.3, 7e-9),
+    )
+    return PropagationGraph(n_tx=1, n_rx=1, n_scatterers=2, edges=edges)
+
+
+def test_array_samples_are_the_direct_formula_bit_for_bit():
+    graph = _hand_built_graph()
+    f = np.linspace(1e9, 3e9, 64)
+    samples = block_samples(graph, f)
+    for e in graph.edges:
+        placed = getattr(samples, _BLOCK_OF[e.edge_class])[:, e.dst.index, e.src.index]
+        if e.gain.flat_amplitude == 0.0:
+            # a zero gain gives zero samples; the signs of their zero parts are not part of the contract
+            np.testing.assert_array_equal(placed, _direct_formula(e, f))
+        else:
+            np.testing.assert_array_equal(_bits(placed), _bits(_direct_formula(e, f)))
+        np.testing.assert_array_equal(_bits(e.transfer_value(f)), _bits(placed))
+
+
+def test_edge_samples_on_empty_and_shaped_axes():
+    graph = _hand_built_graph()
+    empty = block_samples(graph, [])
+    assert empty.freqs.shape == (0,)
+    assert empty.loop.shape == (0, 2, 2) and empty.collect.shape == (0, 1, 2)
+    law = graph.edges[-1]
+    assert law.transfer_value(np.array([])).shape == (0,)
+    f = np.linspace(1e9, 3e9, 6)
+    value = law.transfer_value(2e9)
+    assert type(value) is complex
+    np.testing.assert_array_equal(_bits([value]), _bits(_direct_formula(law, np.array([2e9]))))
+    assert law.transfer_value(f).shape == (6,)
+    square = law.transfer_value(f.reshape(2, 3))
+    assert square.shape == (2, 3)
+    np.testing.assert_array_equal(_bits(square.ravel()), _bits(_direct_formula(law, f)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 257])
+def test_grid_samples_hold_the_tolerance_when_m_is_not_a_multiple_of_b(m):
+    # B = ceil(sqrt(M)) leaves a partial last block at M = 3 and 257
+    grid = FrequencyGrid(1e9, 11e9, m)
+    f = grid.frequencies()
+    eps = np.finfo(float).eps
+    for graph in (_hand_built_graph(), generate_realization(ScenarioConfig(seed=2), grid).graph):
+        samples = block_samples(graph, grid)
+        for e in graph.edges:
+            placed = getattr(samples, _BLOCK_OF[e.edge_class])[:, e.dst.index, e.src.index]
+            amplitude = e.gain.amplitude(f, e.delay_s)
+            tolerance = 16 * eps * (1.0 + TWO_PI * e.delay_s * f) * amplitude
+            assert np.all(np.abs(placed - _direct_formula(e, f)) <= tolerance), f"{e.src}->{e.dst}"
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e9, math.nan, math.inf])
+def test_every_edge_sample_checks_its_frequency(bad):
+    # the direct edge's law needs f > 0; block_samples, transfer_value and walk_sum share one check
+    graph = generate_realization(ScenarioConfig(seed=1), (2e9, 3e9)).graph
+    (direct,) = graph.edges_in_class(EdgeClass.DIRECT)
+    with pytest.raises(ValueError, match="finite|positive"):
+        block_samples(graph, [bad])
+    with pytest.raises(ValueError, match="finite|positive"):
+        direct.transfer_value(bad)
+    with pytest.raises(ValueError, match="finite|positive"):
+        direct.transfer_value(np.array([[2e9, bad]]))
+    with pytest.raises(ValueError, match="finite|positive"):
+        walk_sum(graph, bad, 0, 1)
+
+
+@pytest.mark.parametrize("f", [0.0, -1e9])
+def test_flat_gains_may_be_sampled_at_nonpositive_frequencies(f):
+    graph = _example_mimo_graph()
+    blocks = adjacency_blocks(graph, f)
+    for e in graph.edges:
+        assert e.transfer_value(f) == getattr(blocks, _BLOCK_OF[e.edge_class])[e.dst.index, e.src.index]
+    assert np.array_equal(walk_sum(graph, f, 0, 0), blocks.direct)
+    with pytest.raises(ValueError, match="finite"):
+        graph.edges[0].transfer_value(math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        walk_sum(graph, math.inf, 0, 0)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,

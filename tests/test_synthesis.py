@@ -813,6 +813,19 @@ def test_spectrum_validation():
                            kind=SpectrumKind.ENSEMBLE, count=0)
 
 
+@pytest.mark.parametrize("count", [True, 2.5, np.float64(3.0), "4", None])
+def test_spectrum_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="count"):
+        DelayPowerSpectrum(power=np.ones(8), grid=FrequencyGrid(2e9, 3e9, 8),
+                           kind=SpectrumKind.ENSEMBLE, count=count)
+
+
+def test_spectrum_stores_an_int_count():
+    spectrum = DelayPowerSpectrum(power=np.ones(8), grid=FrequencyGrid(2e9, 3e9, 8),
+                                  kind=SpectrumKind.ENSEMBLE, count=np.int64(3))
+    assert type(spectrum.count) is int and spectrum.count == 3
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spectrum_rejects_nonfinite_bins(bad):
     power = np.ones(8)
