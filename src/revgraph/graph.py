@@ -508,16 +508,17 @@ class _EdgeTable:
     """A graph's edges grouped by block, with the loop's flat-gain norm bound.
 
     A table always holds all four blocks; :meth:`stacks` samples any of
-    them.  ``loop_bound`` is None unless every loop edge has a
-    frequency-flat gain.  It is then the smaller of the max column and row
-    sums of the loop's amplitude matrix, inflated so that it bounds those
-    sums of the moduli of the stored samples at every frequency.  An edge is
-    sampled by one factored formula (:func:`_edge_samples`; B = 1 on arrays,
-    so one frequency and an array of them agree bit for bit): a sample is
-    the amplitude times a rounded coarse phasor, rounded, times a rounded
-    fine phasor, rounded once more.  Its modulus exceeds the amplitude by
-    at most 4 eps relative, and the float sums of n amplitudes fall short of
-    the exact ones by at most (n - 1) eps / 2; (n + 4) eps covers both.
+    them, and :attr:`patterns` tells where their edges sit.  ``loop_bound``
+    is None unless every loop edge has a frequency-flat gain.  It is then
+    the smaller of the max column and row sums of the loop's amplitude
+    matrix, inflated so that it bounds those sums of the moduli of the
+    stored samples at every frequency.  An edge is sampled by one factored
+    formula (:func:`_edge_samples`; B = 1 on arrays, so one frequency and an
+    array of them agree bit for bit): a sample is the amplitude times a
+    rounded coarse phasor, rounded, times a rounded fine phasor, rounded
+    once more.  Its modulus exceeds the amplitude by at most 4 eps relative,
+    and the float sums of n amplitudes fall short of the exact ones by at
+    most (n - 1) eps / 2; (n + 4) eps covers both.
     """
 
     shapes: dict[str, tuple[int, int]]
@@ -549,6 +550,17 @@ class _EdgeTable:
         sums = (amplitude.sum(axis=0).max(initial=0.0), amplitude.sum(axis=1).max(initial=0.0))
         return float(min(sums)) * (1.0 + (len(amplitude) + 4) * math.ulp(1.0))
 
+    @cached_property
+    def patterns(self) -> dict[str, np.ndarray]:
+        """Each block's structure, (rows, cols) booleans: True where an edge sits."""
+        patterns = {name: np.zeros(shape, dtype=bool) for name, shape in self.shapes.items()}
+        for name, rows in self.rows.items():
+            for row in rows:
+                patterns[name][row.dst, row.src] = True
+        for pattern in patterns.values():
+            pattern.setflags(write=False)
+        return patterns
+
     def stacks(self, freqs, names=tuple(_BLOCK_OF_CLASS.values())) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The axis of ``freqs`` and the frequency-minor blocks (rows, cols, m) named in ``names`` on it.
 
@@ -557,7 +569,8 @@ class _EdgeTable:
         ``n_samples`` (this module cannot import the grid class); its axis is
         its frequencies, and its spacing ``delta_f`` is passed on to
         :func:`_edge_samples`.  The storage is fresh and writable; the caller
-        owns it.
+        owns it.  It is allocated empty: the edges fill their entries, and
+        only the entries without an edge (see :attr:`patterns`) are zeroed.
         """
         df = None
         if all(hasattr(freqs, name) for name in ("f_min_hz", "delta_f", "n_samples")):
@@ -565,7 +578,9 @@ class _EdgeTable:
         f = np.atleast_1d(np.asarray(freqs, dtype=float))
         if f.ndim != 1:
             raise ValueError("freqs must be one-dimensional")
-        out = {name: np.zeros(self.shapes[name] + f.shape, dtype=complex) for name in names}
+        out = {name: np.empty(self.shapes[name] + f.shape, dtype=complex) for name in names}
+        for name in names:
+            out[name][~self.patterns[name]] = 0.0
         rows = [row for name in names for row in self.rows[name]]
         _edge_samples(rows, f, df, [out[name][row.dst, row.src] for name in names for row in self.rows[name]])
         return f, out

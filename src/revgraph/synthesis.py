@@ -216,9 +216,11 @@ def sample_transfer(
     """Sample the (partial) transfer matrix at every grid frequency.
 
     One batched solve against (I - loop) serves all transmitter/receiver
-    pairs.  The loop's contraction is checked first: by one n x n norm
-    bound when every loop gain is frequency-flat and that bound certifies
-    it, sample by sample otherwise.
+    pairs.  For an unbounded range, the full one among them, the loop's
+    contraction is checked first: by one n x n norm bound when every loop
+    gain is frequency-flat and that bound certifies it, sample by sample
+    otherwise.  A bounded range is a finite sum of k-bounce terms and needs
+    neither the check nor the solve.
     """
     (tensor,) = _sample_slices(graph, grid, (bounce_range,))
     return ResponseSamples(grid=grid, bounce_range=bounce_range, tensor=tensor)
@@ -248,10 +250,14 @@ def sample_transfer_slices(
 ) -> tuple[ResponseSamples, ...]:
     """Sample several bounce-order slices while sharing the frequency solves.
 
-    The bounce-order products are shared as well: collect @ loop^j is
-    formed once, one step per bounce order up to the largest order any
-    requested range needs, and multiplied by the solved feed once per
-    order.
+    The bounce-order products are shared as well: u_j = collect @ loop^j is
+    formed once, one step per bounce order up to the largest power any
+    requested range needs.  A bounded range K:L sums the k-bounce terms
+    u_(k-1) @ feed, each formed once, so exactly k bounces needs powers up
+    to u_(k-1) and no solve; the solve runs only when some range is
+    unbounded, and each unbounded range K:inf takes one product
+    u_(max(K,1)-1) @ Z with the solved feed Z.  See
+    :func:`revgraph.transfer.bounce_slices`.
     """
     bounce_ranges = _nonempty(bounce_ranges)
     tensors = _sample_slices(graph, grid, bounce_ranges)

@@ -707,7 +707,7 @@ def test_spatial_average_of_every_pair_equals_naive_per_position_mean():
 
 
 def test_a_sampled_solve_holds_one_loop_block():
-    # the kernel factors I - loop in the loop block's own storage, so a
+    # the kernel factors loop - I in the loop block's own storage, so a
     # solve peaks near one n x n x M buffer; bounce orders add the
     # collect-side products collect @ loop^j, each 1/n of a block here
     grid = FrequencyGrid(2e9, 3e9, 2048)

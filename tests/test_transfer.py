@@ -15,6 +15,11 @@ Claims covered:
 - scatterer signal: fixed-point residual, degenerate inputs, consistency of
   direct-plus-collected output with the transfer matrix
 - scaling the feed block scales the indirect part exactly
+- kernel solves check the right-hand side's rows and samples
+- skipping the terms of absent edges changes no value: the factorization,
+  substitution and products equal dense reference loops bit for bit
+- bounded ranges are finite sums needing no solve, so they exist for a loop
+  that does not contract, and need powers only up to u_(L-1)
 """
 
 import dataclasses
@@ -37,7 +42,8 @@ from revgraph.graph import (
     walk_sum,
 )
 from revgraph.scenario import ScenarioConfig, _loop_is_contractive, generate_realization
-from revgraph.synthesis import FrequencyGrid, sample_transfer
+from revgraph.cli import _dissection_ranges
+from revgraph.synthesis import FrequencyGrid, sample_transfer, sample_transfer_slices
 from revgraph.transfer import (
     BounceRange,
     NumericalFailure,
@@ -550,3 +556,203 @@ def test_complex_feed_scale_factors_out():
     base = blocks.collect @ kernel.solve(blocks.feed)
     scaled = blocks.collect @ kernel.solve(c * blocks.feed)
     np.testing.assert_allclose(scaled, c * base, rtol=1e-14)
+
+
+# -- solve shapes ---------------------------------------------------------------
+
+
+def test_solve_accepts_the_documented_shapes():
+    loop = 0.1 * np.arange(9).reshape(3, 3) / 9
+    one = PrecomputedKernel.from_loop_block(loop, PROBE_HZ)
+    rhs = np.arange(6, dtype=complex).reshape(3, 2)
+    assert one.solve(rhs[:, 0]).shape == (3,)
+    assert one.solve(rhs).shape == (3, 2)
+    stack = PrecomputedKernel.from_loop_block(np.stack([loop, 0.5 * loop, loop.T]), [1e9, 2e9, 3e9])
+    z = stack.solve(np.stack([rhs] * 3))
+    assert z.shape == (3, 3, 2)
+    np.testing.assert_array_equal(z[0], one.solve(rhs))
+
+
+@pytest.mark.parametrize("shape, expected", [
+    ((4,), r"\(3,\) or \(3, cols\)"),      # one row too many: used to return a (4,) "solution"
+    ((2, 3), r"\(3,\) or \(3, cols\)"),    # rows and columns swapped: used to raise IndexError
+    ((), r"\(3,\) or \(3, cols\)"),
+])
+def test_one_frequency_solve_checks_its_rows(shape, expected):
+    kernel = PrecomputedKernel.from_loop_block(np.zeros((3, 3)), PROBE_HZ)
+    with pytest.raises(ValueError, match=expected):
+        kernel.solve(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2, 1), (3, 3), (3,)])
+def test_stack_solve_checks_its_samples_and_rows(shape):
+    # a 3-sample kernel given 2 samples used to fail with a bare broadcast error
+    kernel = PrecomputedKernel.from_loop_block(np.zeros((3, 3, 3)), [1e9, 2e9, 3e9])
+    with pytest.raises(ValueError, match=r"\(3, 3, cols\)"):
+        kernel.solve(np.ones(shape))
+
+
+def test_scattererless_kernel_checks_its_rows_too():
+    kernel = PrecomputedKernel.from_loop_block(np.zeros((0, 0)), PROBE_HZ)
+    with pytest.raises(ValueError, match=r"\(0,\) or \(0, cols\)"):
+        kernel.solve(np.ones(2))
+
+
+# -- structure: skipped terms change no value ------------------------------------
+#
+# The engine skips every term whose factor is zero by the graph's structure.
+# These oracles are the dense frequency-minor loops it replaced: every term,
+# in k-i-j order for the factorization of I - loop, column sweeps for the
+# substitution, index order for the products.
+
+
+def _oracle_factor(a):
+    n = a.shape[0]
+    for k in range(n):
+        a[k, k] = 1.0 / a[k, k]
+        for i in range(k + 1, n):
+            a[i, k] = a[i, k] * a[k, k]
+            for j in range(k + 1, n):
+                a[i, j] -= a[i, k] * a[k, j]
+
+
+def _oracle_substitute(lu, b):
+    n = lu.shape[0]
+    for col in range(b.shape[1]):
+        z = b[:, col]
+        for k in range(n):
+            for i in range(k + 1, n):
+                z[i] -= lu[i, k] * z[k]
+        for k in range(n - 1, -1, -1):
+            z[k] = z[k] * lu[k, k]
+            for i in range(k):
+                z[i] -= lu[i, k] * z[k]
+
+
+def _oracle_matmul(a, b):
+    rows, n, m = a.shape
+    out = np.zeros((rows, b.shape[1], m), dtype=complex)
+    for i in range(rows):
+        for col in range(b.shape[1]):
+            acc = out[i, col]
+            for j in range(n):
+                acc += a[i, j] * b[j, col]
+    return out
+
+
+def _minor(block):
+    return np.moveaxis(block, 0, -1).copy()
+
+
+def _with_edges(graph, edges):
+    return PropagationGraph(n_tx=graph.n_tx, n_rx=graph.n_rx,
+                            n_scatterers=graph.n_scatterers, edges=tuple(edges))
+
+
+STRUCTURE_GRID = FrequencyGrid(2e9, 3e9, 64)
+
+
+def _structure_cases():
+    room = generate_realization(ScenarioConfig(seed=5), STRUCTURE_GRID).graph
+    isolated = scatterer(0)  # keeps its feed and collect edges, loses every loop edge
+    loopless_row = [e for e in room.edges
+                    if not (e.edge_class is EdgeClass.INTER_SCATTER and isolated in (e.src, e.dst))]
+    self_loops = list(room.edges) + [_edge(scatterer(s), scatterer(s), 0.1, 0.3 * s, 1e-9)
+                                     for s in (0, 3, 7)]
+    zeroed = set()
+    silenced = []
+    for e in room.edges:  # the first edge of each class keeps its entry, at zero gain
+        if e.edge_class not in zeroed:
+            zeroed.add(e.edge_class)
+            e = dataclasses.replace(e, gain=ConstantGain(0.0))
+        silenced.append(e)
+    direct_only = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=0,
+                                   edges=(_edge(tx(0), rx(0), 0.5, 0.3, 4e-9),))
+    return {
+        "default room": room,
+        "loop row and column all zero": _with_edges(room, loopless_row),
+        "self-loops": _with_edges(room, self_loops),
+        "zero-gain edges": _with_edges(room, silenced),
+        "no scatterers": direct_only,
+    }
+
+
+@pytest.mark.parametrize("case", list(_structure_cases()))
+def test_skipped_terms_change_no_value(case):
+    graph = _structure_cases()[case]
+    samples = block_samples(graph, STRUCTURE_GRID)
+    n = graph.n_scatterers
+    assert graph._edge_table.loop_bound < SPECTRAL_RADIUS_LIMIT  # every sample takes the LU
+    if case == "loop row and column all zero":
+        assert not samples.loop[:, 0, :].any() and not samples.loop[:, :, 0].any()
+    direct, feed, loop, collect = (_minor(getattr(samples, name))
+                                   for name in ("direct", "feed", "loop", "collect"))
+    system = np.eye(n)[..., None] - loop
+    _oracle_factor(system)
+    z = feed.copy()
+    _oracle_substitute(system, z)
+    expected = np.moveaxis(z, -1, 0)
+    # the graph's structure skips terms; a raw array is taken as dense
+    _, kernel = _sample_system(graph, STRUCTURE_GRID)
+    np.testing.assert_array_equal(kernel.solve(samples.feed), expected)
+    dense = PrecomputedKernel.from_loop_block(samples.loop, STRUCTURE_GRID.frequencies())
+    np.testing.assert_array_equal(dense.solve(samples.feed), expected)
+    for m in (0, 63):
+        single = PrecomputedKernel.from_loop_block(samples.loop[m], STRUCTURE_GRID.frequencies()[m])
+        np.testing.assert_array_equal(single.solve(samples.feed[m]), expected[m])
+    # slices: the full range and a tail from Z, a bounded range from the feed
+    powers = [collect, _oracle_matmul(collect, loop)]
+    terms = [_oracle_matmul(u, feed) for u in (powers[0], powers[1], _oracle_matmul(powers[1], loop))]
+    oracles = {
+        BounceRange.full(): _oracle_matmul(collect, z) + direct,
+        BounceRange.tail(2): _oracle_matmul(powers[1], z),
+        BounceRange(1, 3): terms[0] + terms[1] + terms[2],
+        BounceRange(0, 2): direct + terms[0] + terms[1],
+    }
+    slices = revgraph.transfer._sample_slices(graph, STRUCTURE_GRID, tuple(oracles))
+    for (bounce_range, oracle), piece in zip(oracles.items(), slices):
+        np.testing.assert_array_equal(piece, np.moveaxis(oracle, -1, 0), err_msg=bounce_range.label)
+
+
+# -- bounded ranges need no solve -------------------------------------------------
+
+
+def test_bounded_slices_of_an_expanding_loop_need_no_solve():
+    graph = _with_loop_radius(_dense_graph(np.random.default_rng(30), n_tx=1, n_rx=2, n_sc=3), 1.4)
+    blocks = adjacency_blocks(graph, PROBE_HZ)
+    args = (blocks.direct, blocks.loop, blocks.collect, blocks.feed)
+    ranges = (BounceRange.exactly(3), BounceRange(1, 4))
+    exact3, one_to_four = revgraph.transfer.bounce_slices(*args, ranges)
+    np.testing.assert_allclose(exact3, walk_sum(graph, PROBE_HZ, 3, 3), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(one_to_four, walk_sum(graph, PROBE_HZ, 1, 4), rtol=1e-12, atol=0)
+    with pytest.raises(SpectralRadiusExceeded) as info:
+        revgraph.transfer.bounce_slices(*args, (BounceRange.tail(1),))
+    assert info.value.value == pytest.approx(1.4, rel=1e-9)
+    assert math.isnan(info.value.frequency_hz)  # bounce_slices is given no frequencies
+    np.testing.assert_allclose(k_bounce_matrix(graph, PROBE_HZ, 3).matrix,
+                               walk_sum(graph, PROBE_HZ, 3, 3), rtol=1e-12, atol=0)
+    # the sampled engine needs no solve for a bounded range either
+    np.testing.assert_allclose(partial_transfer_matrix(graph, PROBE_HZ, BounceRange(1, 4)).matrix,
+                               walk_sum(graph, PROBE_HZ, 1, 4), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("ranges, loop_products", [
+    ((BounceRange.full(),) + tuple(BounceRange.exactly(k) for k in range(1, 6)), 4),
+    (tuple(_dissection_ranges(4)), 3),
+])
+def test_bounce_powers_stop_at_the_last_order_needed(monkeypatch, ranges, loop_products):
+    # exactly k needs u_(k-1) = collect @ loop^(k-1) and no further power
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    graph = generate_realization(ScenarioConfig(seed=2), grid).graph
+    n = graph.n_scatterers
+    assert graph.n_tx != n
+    honest = revgraph.transfer._matmul
+    shapes = []
+
+    def counting(a, pa, b, pb):
+        shapes.append(b.shape[:2])
+        return honest(a, pa, b, pb)
+
+    monkeypatch.setattr(revgraph.transfer, "_matmul", counting)
+    sample_transfer_slices(graph, grid, ranges)
+    assert shapes.count((n, n)) == loop_products
