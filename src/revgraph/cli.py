@@ -17,7 +17,8 @@ reference-office defaults.  Unknown keys are rejected.  The file-producing
 modes simulate first, then write through one routine, ``_write_run``: JSON
 sidecars with the grid, window, seeds, and the config and its digest; plain
 CSV files, whose writer and ``plots.txt`` axes follow from their data's type;
-floats are written with ``repr`` so reruns are byte-identical.  The
+each float is the shortest text that reads back to it, as ``repr`` prints it,
+so reruns are byte-identical.  The
 ``REVGRAPH_THREADS`` environment variable caps the worker processes of both
 the ensemble runs and the CSV writers of ``response`` and ``dissect``; output
 is byte-identical at any worker count.

@@ -385,11 +385,19 @@ class PropagationGraph:
         object.__setattr__(self, "_out_rx", out_rx)
         object.__setattr__(self, "_out_sc", out_sc)
 
+    # Built on first use and kept in the instance dict; the graph is
+    # immutable, so they never go stale.
+
     @cached_property
     def _edge_table(self) -> "_EdgeTable":
-        # Built on first use and kept in the instance dict; the graph is
-        # immutable, so the table never goes stale.
         return _EdgeTable.of(self)
+
+    @cached_property
+    def _edges_by_class(self) -> dict[EdgeClass, tuple[Edge, ...]]:
+        members: dict[EdgeClass, list[Edge]] = {}
+        for edge in self.edges:
+            members.setdefault(edge.edge_class, []).append(edge)
+        return {cls: tuple(edges) for cls, edges in members.items()}
 
     # - accessors -
 
@@ -405,7 +413,7 @@ class PropagationGraph:
         return self._edge_map.get((src, dst))
 
     def edges_in_class(self, edge_class: EdgeClass) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.edge_class is edge_class)
+        return self._edges_by_class.get(edge_class, ())
 
     def position(self, vertex: VertexId) -> np.ndarray:
         if self.positions is None:

@@ -23,9 +23,9 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -117,21 +117,6 @@ class FrequencyGrid:
 
     def delays(self) -> np.ndarray:
         return self.delta_tau * np.arange(self.n_samples)
-
-    # The CSV writers' axis columns, formatted once per grid object and shared
-    # by every file written on it.  They live in the instance dict, so they go
-    # with the grid; pickles carry the three fields only.
-
-    @cached_property
-    def _frequency_text(self) -> list[str]:
-        return _text(self.frequencies())
-
-    @cached_property
-    def _delay_text(self) -> list[str]:
-        return _text(self.delays())
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -575,53 +560,42 @@ def fit_tail_slope(
 # -- CSV / metadata emission --------------------------------------------------------
 
 
-def _text(values: np.ndarray) -> list[str]:
-    """repr of every value: shortest round-trip text, '-0.0', 'inf', 'nan'."""
-    return list(map(repr, values.tolist()))
-
-
-def _write_columns(path, header: str, columns) -> None:
-    rows = map(",".join, zip(*columns))
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
-
-
 def write_response_csv(path, samples: ResponseSamples) -> None:
-    """Frequency-domain CSV: freq_hz plus re/im columns per Tx/Rx pair.
-
-    Columns are formatted whole, one ``repr`` per float; the frequency column
-    is formatted once per grid object and reused by every file on that grid.
-    """
-    _, n_rx, n_tx = samples.tensor.shape
+    """Frequency-domain CSV: freq_hz plus re/im columns per Tx/Rx pair."""
+    from ._csvtext import write_csv  # compiled on the first write, not at import
+    n_samples, n_rx, n_tx = samples.tensor.shape
     header = ["freq_hz"]
-    columns = [samples.grid._frequency_text]
     for r in range(n_rx):
         for t in range(n_tx):
             header += [f"h_rx{r}_tx{t}_re", f"h_rx{r}_tx{t}_im"]
-            pair = samples.pair(r, t)
-            columns += [_text(pair.real), _text(pair.imag)]
-    _write_columns(path, ",".join(header), columns)
+    pairs = samples.tensor.reshape(n_samples, n_rx * n_tx)
+    table = np.empty((n_samples, len(header)))
+    table[:, 0] = samples.grid.frequencies()
+    table[:, 1::2] = pairs.real
+    table[:, 2::2] = pairs.imag
+    write_csv(path, ",".join(header), table)
 
 
 def write_impulse_csv(path, impulse: ImpulseResponse) -> None:
-    """Delay-domain CSV with columns delay_s, h_re, h_im.
-
-    The delay column is formatted once per grid object and shared by every
-    impulse and spectrum file written on that grid.
-    """
+    """Delay-domain CSV with columns delay_s, h_re, h_im."""
+    from ._csvtext import write_csv
     y = impulse.samples
-    _write_columns(path, "delay_s,h_re,h_im",
-                   [impulse.grid._delay_text, _text(y.real), _text(y.imag)])
+    write_csv(path, "delay_s,h_re,h_im", np.column_stack([impulse.delay_axis, y.real, y.imag]))
 
 
 def write_spectrum_csv(path, spectrum: DelayPowerSpectrum) -> None:
     """Delay-power CSV with linear and dB columns (dB is -inf on empty bins).
 
-    The delay column is shared per grid object, as in :func:`write_impulse_csv`.
+    The dB column is ``10 * math.log10(p)``: numpy's ``log10`` differs from
+    the C library's in the last bit for a few percent of powers.
     """
-    power = spectrum.power.tolist()
-    db = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in power]
-    _write_columns(path, "delay_s,power_linear,power_db",
-                   [spectrum.grid._delay_text, map(repr, power), map(repr, db)])
+    from ._csvtext import write_csv
+    power = spectrum.power
+    positive = power > 0.0
+    db = np.full(power.shape, -math.inf)
+    db[positive] = 10.0 * np.fromiter(map(math.log10, power[positive].tolist()), float)
+    write_csv(path, "delay_s,power_linear,power_db",
+              np.column_stack([spectrum.delay_axis, power, db]))
 
 
 # Each job's writer is chosen by the type of its data and looked up by name in
@@ -648,9 +622,9 @@ def write_csv_files(jobs, workers: int | None = None) -> None:
 
     ``write_response_csv``, ``write_impulse_csv`` and ``write_spectrum_csv`` write
     :class:`ResponseSamples`, :class:`ImpulseResponse` and :class:`DelayPowerSpectrum`.
-    With ``workers`` > 1 the jobs are split into one chunk per worker process, so each
-    worker formats a grid's axis column once; the bytes written do not depend on
-    ``workers``.  An error names the file being written.
+    Every float is written as ``repr`` prints it (see :mod:`revgraph._csvtext`).  With
+    ``workers`` > 1 the jobs are split into one chunk per worker process; the bytes
+    written do not depend on ``workers``.  An error names the file being written.
     """
     jobs = list(jobs)
     chunksize = -(-len(jobs) // workers) if workers else 1
