@@ -133,13 +133,32 @@ def _mulhi(a1, a0, b1, b0):
     return a1 * b1 + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
 
 
-def _round_to_odd(g, cp):
-    """Schubfach's rop: about g * cp / 2^127, its last bit set when inexact."""
-    g1, g0, g1h, g1l, g0h, g0l = g
-    cph, cpl = cp >> np.uint64(32), cp & _M32
-    z = ((g1 * cp) >> np.uint64(1)) + _mulhi(g0h, g0l, cph, cpl)
-    vbp = _mulhi(g1h, g1l, cph, cpl) + (z >> np.uint64(63))
+def _round_to_odd(y1, y0, x1):
+    """Schubfach's rop: about g * cp / 2^127, its last bit set when inexact.
+
+    ``y1`` and ``y0`` are the high and low words of g1 * cp, ``x1`` the high
+    word of g0 * cp, where g = g1 * 2^63 + g0.
+    """
+    z = (y0 >> np.uint64(1)) + x1
+    vbp = y1 + (z >> np.uint64(63))
     return vbp | (((z & _M63) + _M63) >> np.uint64(63))
+
+
+def _shifted(hi, lo, a, s, sign):
+    """The high and low words of (hi * 2^64 + lo) + sign * a * 2^s, for 0 < s < 64."""
+    a_hi, a_lo = a >> (np.uint64(64) - s), a << s
+    if sign > 0:
+        low = lo + a_lo
+        return hi + a_hi + (low < a_lo), low
+    return hi - a_hi - (lo < a_lo), lo - a_lo
+
+
+def _ends(words, g1, g0, s, sign):
+    """rop of g * (cp + sign * 2^s) from the words of the centre products g1 * cp and g0 * cp."""
+    y1, y0, x1, x0 = words
+    y1, y0 = _shifted(y1, y0, g1, s, sign)
+    x1, _ = _shifted(x1, x0, g0, s, sign)
+    return _round_to_odd(y1, y0, x1)
 
 
 def _shortest(bits):
@@ -152,11 +171,16 @@ def _shortest(bits):
     irregular = normal & (t == 0) & (bq > 1)    # the gap below c * 2^q is half the gap above
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g = tuple(_powers_of_ten().take(k - _K_MIN, axis=1))
-    cb = c << np.uint64(2)
-    vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - np.uint64(2) + irregular.astype(np.uint64)) << h)
-    vbr = _round_to_odd(g, (cb + np.uint64(2)) << h)
+    g1, g0, g1h, g1l, g0h, g0l = _powers_of_ten().take(k - _K_MIN, axis=1)
+    # The centre is cp = 4c * 2^h; the interval's ends lie 2 * 2^h above it
+    # and (2 - irregular) * 2^h below, so their products with g follow from
+    # the centre's words by a shifted g and a carry.
+    cp = c << (h + np.uint64(2))
+    cph, cpl = cp >> np.uint64(32), cp & _M32
+    words = (_mulhi(g1h, g1l, cph, cpl), g1 * cp, _mulhi(g0h, g0l, cph, cpl), g0 * cp)
+    vb = _round_to_odd(*words[:3])
+    vbl = _ends(words, g1, g0, h + np.uint64(1) - irregular.astype(np.uint64), -1)
+    vbr = _ends(words, g1, g0, h + np.uint64(1), 1)
     out = c & np.uint64(1)                      # odd c: the interval's ends round away
     vbl += out
     vbr -= out

@@ -21,7 +21,11 @@ each float is the shortest text that reads back to it, as ``repr`` prints it,
 so reruns are byte-identical.  The
 ``REVGRAPH_THREADS`` environment variable caps the worker processes of both
 the ensemble runs and the CSV writers of ``response`` and ``dissect``; output
-is byte-identical at any worker count.
+is byte-identical at any worker count.  ``ensemble`` starts one pool per
+invocation, with one task per seed that samples every grid.  A seed's room is
+drawn once for all grids unless its draw depended on the band (see
+:func:`revgraph.synthesis.ensemble_spectra`); ``response`` and ``spatial``
+follow the same rule.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -43,7 +46,9 @@ from ._fields import (
     _instance_of, _Kind,
 )
 from .graph import EdgeClass, block_samples, reverse_graph, walk_sum
-from .scenario import _SCENARIO_FIELDS, ScenarioConfig, edge_gain, generate_realization
+from .scenario import (
+    _SCENARIO_FIELDS, ScenarioConfig, _realizations, edge_gain, generate_realization,
+)
 from .synthesis import (
     DelayPowerSpectrum,
     FrequencyGrid,
@@ -51,7 +56,7 @@ from .synthesis import (
     InsufficientBins,
     NonpositivePower,
     ResponseSamples,
-    ensemble_spectrum,
+    ensemble_spectra,
     fit_tail_slope,
     hann_window,
     impulse_response,
@@ -323,8 +328,8 @@ def _run_response(spec: ExperimentSpec) -> int:
     workers = _worker_count(2 * len(spec.grids))
     sidecars = []
     files = []
-    for grid in spec.grids:
-        realization = generate_realization(spec.scenario, grid)
+    realizations = _realizations(generate_realization, spec.scenario, spec.grids)
+    for grid, realization in zip(spec.grids, realizations):
         samples = sample_transfer(realization.graph, grid)
         tag = _grid_tag(grid)
         files += [(f"response_{tag}.csv", samples),
@@ -382,16 +387,16 @@ def _slope_report_line(tag: str, spectrum: DelayPowerSpectrum, spec: ExperimentS
     )
 
 
-def _run_spectra(spec: ExperimentSpec, out: Path, per_grid: Callable) -> int:
-    """Simulate a spectrum per grid, write the run's files and report a tail fit per grid.
+def _run_spectra(spec: ExperimentSpec, out: Path, results) -> int:
+    """Write a spectrum per grid and the run's files, and report a tail fit per grid.
 
-    ``per_grid(grid)`` returns the spectrum, its seeds and the sidecar entries after ``mode``.
+    ``results`` holds, for each grid of ``spec.grids`` in order, the spectrum,
+    its seeds and the sidecar entries after ``mode``.
     """
     sidecars = []
     files = []
     report = []
-    for grid in spec.grids:
-        spectrum, seeds, extra = per_grid(grid)
+    for grid, (spectrum, seeds, extra) in zip(spec.grids, results):
         tag = _grid_tag(grid)
         stem = f"spectrum_{spec.mode.value}_{tag}"
         sidecars.append((f"{stem}.meta.json", grid, seeds, extra))
@@ -408,12 +413,10 @@ def _run_ensemble(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
     workers = _worker_count(spec.n_runs)
     seeds = [spec.scenario.seed + i for i in range(spec.n_runs)]
-
-    def per_grid(grid):
-        spectrum = ensemble_spectrum(spec.scenario, grid, spec.n_runs, hann_window(grid), workers=workers)
-        return spectrum, seeds, {"n_runs": spec.n_runs}
-
-    return _run_spectra(spec, out, per_grid)
+    windows = [hann_window(grid) for grid in spec.grids]
+    spectra = ensemble_spectra(spec.scenario, spec.grids, spec.n_runs, windows, workers=workers)
+    return _run_spectra(spec, out, [(spectrum, seeds, {"n_runs": spec.n_runs})
+                                    for (spectrum,) in spectra])
 
 
 def _spatial_positions(spec: ExperimentSpec) -> list[tuple[float, float, float]]:
@@ -432,17 +435,16 @@ def _spatial_positions(spec: ExperimentSpec) -> list[tuple[float, float, float]]
 def _run_spatial(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
     positions = _spatial_positions(spec)
-
-    def per_grid(grid):
-        realization = generate_realization(spec.scenario, grid)
-        spectrum = spatial_spectrum(realization, positions, grid, hann_window(grid))
-        return spectrum, [spec.scenario.seed], {
+    realizations = _realizations(generate_realization, spec.scenario, spec.grids)
+    results = (
+        (spatial_spectrum(realization, positions, grid, hann_window(grid)), [spec.scenario.seed], {
             "n_positions": len(positions),
             "mesh_m": spec.spatial_mesh_m,
             "attempts": realization.attempts,
-        }
-
-    return _run_spectra(spec, out, per_grid)
+        })
+        for grid, realization in zip(spec.grids, realizations)
+    )
+    return _run_spectra(spec, out, results)
 
 
 # -- Validation mode -------------------------------------------------------------------

@@ -24,6 +24,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from ._fields import (
     _INTEGER, _NUMBER, _PAIR, _POINTS, _UNIT_INTERVAL, ValidationError, _array, _array_schema,
     _check_band, _check_fields, _Field, _instance_of, _interval, _Kind, _lists, _pair,
 )
-from .transfer import _loop_is_contractive
+from .transfer import _flat_certified, _loop_is_contractive
 
 if TYPE_CHECKING:
     from .synthesis import FrequencyGrid
@@ -251,22 +252,39 @@ def draw_positions(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(box.lows, box.highs, size=(config.n_scatterers, 3))
 
 
-def _candidate_pairs(config: ScenarioConfig):
-    """Edge candidates and their inclusion probabilities, in canonical order."""
-    n_t, n_r, n_s = config.n_tx, config.n_rx, config.n_scatterers
-    for i in range(n_t):
-        for j in range(n_r):
-            yield tx(i), rx(j), config.p_direct
-    for i in range(n_t):
-        for k in range(n_s):
-            yield tx(i), scatterer(k), config.p_visibility
-    for a in range(n_s):
-        for b in range(n_s):
-            if a != b:
-                yield scatterer(a), scatterer(b), config.p_visibility
-    for k in range(n_s):
-        for j in range(n_r):
-            yield scatterer(k), rx(j), config.p_visibility
+@cache
+def _candidates(n_tx: int, n_rx: int, n_scatterers: int) -> tuple:
+    """Edge candidates in canonical order, with what a draw needs of each.
+
+    Returns the (src, dst) pairs, their edge classes, whether each is a
+    direct pair, and the rows of src and dst in the vertex positions stacked
+    as transmitters, receivers, scatterers.
+    """
+    stacked = (
+        [tx(i) for i in range(n_tx)]
+        + [rx(j) for j in range(n_rx)]
+        + [scatterer(k) for k in range(n_scatterers)]
+    )
+    row = {vertex: i for i, vertex in enumerate(stacked)}
+    transmitters, receivers = stacked[:n_tx], stacked[n_tx:n_tx + n_rx]
+    scatterers = stacked[n_tx + n_rx:]
+    pairs = (
+        [(t, r) for t in transmitters for r in receivers]
+        + [(t, s) for t in transmitters for s in scatterers]
+        + [(a, b) for a in scatterers for b in scatterers if a != b]
+        + [(s, r) for s in scatterers for r in receivers]
+    )
+    classes = [_CLASS_OF_ENDPOINTS[src.kind, dst.kind] for src, dst in pairs]
+    direct = np.array([cls is EdgeClass.DIRECT for cls in classes], dtype=bool)
+    rows = np.array([[row[src], row[dst]] for src, dst in pairs], dtype=np.intp).reshape(-1, 2)
+    return tuple(pairs), tuple(classes), direct, rows
+
+
+def _draw_candidates(config: ScenarioConfig, rng: np.random.Generator) -> list[int]:
+    """Indices of the candidates of :func:`_candidates` kept by one draw."""
+    _, _, direct, _ = _candidates(config.n_tx, config.n_rx, config.n_scatterers)
+    p = np.where(direct, config.p_direct, config.p_visibility)
+    return np.flatnonzero(rng.uniform(size=p.size) < p).tolist()
 
 
 def draw_edges(
@@ -280,11 +298,8 @@ def draw_edges(
     One uniform draw is consumed per candidate regardless of the outcome,
     so the stream alignment depends only on the vertex counts.
     """
-    pairs = []
-    for src, dst, p in _candidate_pairs(config):
-        if rng.uniform() < p:
-            pairs.append((src, dst))
-    return tuple(pairs)
+    pairs = _candidates(config.n_tx, config.n_rx, config.n_scatterers)[0]
+    return tuple(pairs[i] for i in _draw_candidates(config, rng))
 
 
 # -- Gain laws -------------------------------------------------------------------
@@ -384,22 +399,17 @@ def _class_laws(
 
 def _build_edges(
     pairs: Sequence[tuple[VertexId, VertexId]],
+    classes: Sequence[EdgeClass],
+    delays: Sequence[float],
     phases: np.ndarray,
-    positions: dict[VertexId, tuple[float, float, float]],
-    speed_of_light: float,
     inter_scatterer_gain: float | None,
     tail_slope_db_per_ns: float | None,
 ) -> tuple[tuple[Edge, ...], float | None, float | None]:
-    """Attach delays and gain laws to drawn pairs.
+    """Attach gain laws to drawn pairs, given their classes and delays.
 
     Returns the edges plus the realization's mean inter-scatterer delay and
     resolved shared gain (both ``None`` when no inter-scatterer edge exists).
     """
-    delays = [
-        float(np.linalg.norm(np.subtract(positions[dst], positions[src]))) / speed_of_light
-        for src, dst in pairs
-    ]
-    classes = [_CLASS_OF_ENDPOINTS[src.kind, dst.kind] for src, dst in pairs]
     laws = _class_laws(classes, delays)
 
     mu_es: float | None = None
@@ -450,17 +460,22 @@ def generate_realization(
     """
     f_lo, f_hi = _band_edges(frequency_band)
     validation_freqs = np.linspace(f_lo, f_hi, VALIDATION_FREQUENCIES)
+    pairs, classes, _, rows = _candidates(config.n_tx, config.n_rx, config.n_scatterers)
     for attempt in range(config.max_rejections):
         pos_rng, edge_rng, phase_rng = _attempt_rngs(config.seed, attempt)
         points = draw_positions(config, pos_rng)
-        pairs = draw_edges(config, edge_rng)
-        phases = phase_rng.uniform(0.0, 2.0 * math.pi, size=len(pairs))
-        positions = _position_table(config, points)
+        kept = _draw_candidates(config, edge_rng)
+        phases = phase_rng.uniform(0.0, 2.0 * math.pi, size=len(kept))
+        # Each delay's squared length is a vector-vector matmul, the same dot
+        # product np.linalg.norm takes of one vector, so it rounds alike.
+        ends = np.concatenate([config.tx_positions, config.rx_positions, points])[rows[kept]]
+        span = ends[:, 1] - ends[:, 0]
+        lengths = np.sqrt(np.matmul(span[:, None, :], span[:, :, None])).ravel()
         edges, mu_es, resolved_g = _build_edges(
-            pairs,
+            [pairs[i] for i in kept],
+            [classes[i] for i in kept],
+            (lengths / config.speed_of_light).tolist(),
             phases,
-            positions,
-            config.speed_of_light,
             config.inter_scatterer_gain,
             config.tail_slope_db_per_ns,
         )
@@ -469,7 +484,7 @@ def generate_realization(
             n_rx=config.n_rx,
             n_scatterers=config.n_scatterers,
             edges=edges,
-            positions=positions,
+            positions=_position_table(config, points),
         )
         if not _loop_is_contractive(graph, validation_freqs):
             continue
@@ -482,6 +497,22 @@ def generate_realization(
     raise RejectionLimitExceeded(
         f"no acceptable graph after {config.max_rejections} attempts (seed {config.seed})"
     )
+
+
+def _realizations(draw, config: ScenarioConfig, bands):
+    """Yield ``draw(config, band)`` for each band, drawing again only where the band mattered.
+
+    ``draw`` is :func:`generate_realization` under the name the caller looks
+    it up by.  That function samples the band only for a loop that the flat
+    bound does not certify (:func:`~revgraph.transfer._flat_certified`), so a
+    realization that this bound accepted on the first attempt is the one its
+    seed draws on any band; it is yielded again for every later band.
+    """
+    realization = None
+    for band in bands:
+        if realization is None or realization.attempts > 1 or not _flat_certified(realization.graph):
+            realization = draw(config, band)
+        yield realization
 
 
 # -- Receiver relocation (spatial sweeps) -----------------------------------------

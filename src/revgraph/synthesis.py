@@ -32,7 +32,13 @@ import numpy as np
 
 from ._fields import _check_band, _integer, _named, _number
 from .graph import PropagationGraph
-from .scenario import ScenarioConfig, ScenarioRealization, generate_realization, relocate_receiver
+from .scenario import (
+    ScenarioConfig,
+    ScenarioRealization,
+    _realizations,
+    generate_realization,
+    relocate_receiver,
+)
 from .transfer import (
     BounceRange,
     SpectralRadiusExceededAt,
@@ -389,23 +395,27 @@ def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
         yield from pool.map(fn, items, chunksize=chunksize)
 
 
-def _ensemble_run_powers(config, grid, bounce_ranges, window, rx_index, tx_index):
-    realization = generate_realization(config, grid)
-    tensors = _sample_slices(realization.graph, grid, bounce_ranges)
-    return [impulse_response(t[:, rx_index, tx_index], window).power() for t in tensors]
+def _ensemble_run_powers(config, grids, windows, bounce_ranges, rx_index, tx_index):
+    """One run's |y|^2 per grid and bounce range, from one draw where the band cannot matter."""
+    realizations = _realizations(generate_realization, config, grids)
+    return [
+        [impulse_response(t[:, rx_index, tx_index], window).power()
+         for t in _sample_slices(realization.graph, grid, bounce_ranges)]
+        for grid, window, realization in zip(grids, windows, realizations)
+    ]
 
 
 def ensemble_spectra(
     config: ScenarioConfig,
-    grid: FrequencyGrid,
+    grid,
     n_runs: int,
-    window: WindowSpectrum,
+    window,
     *,
     bounce_ranges=(BounceRange.full(),),
     rx_index: int = 0,
     tx_index: int = 0,
     workers: int | None = None,
-) -> tuple[DelayPowerSpectrum, ...]:
+) -> tuple:
     """Monte Carlo delay-power spectra, one per requested bounce range.
 
     Run ``i`` simulates an independent realization seeded ``config.seed + i``;
@@ -416,19 +426,33 @@ def ensemble_spectra(
     either way, so pooled results match the serial ones bit for bit and
     memory stays independent of ``n_runs``.  Every argument, the pair
     indices among them, is checked before the first run is drawn.
+
+    ``grid`` may also be a sequence of grids, with ``window`` a sequence of
+    one window per grid; the result is then one tuple of spectra per grid,
+    each bit for bit what a call on that grid alone returns.  A run is then
+    one task that samples every grid.  Its room is drawn once and sampled on
+    each grid when the draw did not depend on the band, that is when the
+    first attempt was accepted by the loop's flat norm bound; otherwise it
+    is drawn again for the next grid.
     """
     n_runs = _integer(n_runs)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if window.grid != grid:
+    single = isinstance(grid, FrequencyGrid)
+    grids, windows = ((grid,), (window,)) if single else (tuple(grid), tuple(window))
+    if not grids:
+        raise ValueError("need at least one frequency grid")
+    if len(windows) != len(grids):
+        raise LengthMismatch(f"{len(windows)} windows for {len(grids)} grids")
+    if any(w.grid != g for g, w in zip(grids, windows)):
         raise LengthMismatch("window grid differs from the sampling grid")
     bounce_ranges = _nonempty(bounce_ranges)
     rx_index, tx_index = _pair_indices(rx_index, tx_index, config.n_rx, config.n_tx)
-    run = partial(_ensemble_run_powers, grid=grid, bounce_ranges=bounce_ranges,
-                  window=window, rx_index=rx_index, tx_index=tx_index)
+    run = partial(_ensemble_run_powers, grids=grids, windows=windows,
+                  bounce_ranges=bounce_ranges, rx_index=rx_index, tx_index=tx_index)
     seeds = range(config.seed, config.seed + n_runs)
     configs = (replace(config, seed=seed) for seed in seeds)
-    totals = [np.zeros(grid.n_samples) for _ in bounce_ranges]
+    totals = [[np.zeros(g.n_samples) for _ in bounce_ranges] for g in grids]
     with closing(_ordered_map(run, configs, workers)) as results:
         for i, seed in enumerate(seeds):
             try:
@@ -436,14 +460,17 @@ def ensemble_spectra(
             except Exception as exc:
                 _annotate(exc, i, seed)
                 raise
-            for total, p in zip(totals, powers):
-                total += p
-    return tuple(
-        DelayPowerSpectrum(
-            power=total / n_runs, grid=grid, kind=SpectrumKind.ENSEMBLE, count=n_runs
+            for grid_totals, grid_powers in zip(totals, powers):
+                for total, p in zip(grid_totals, grid_powers):
+                    total += p
+    spectra = tuple(
+        tuple(
+            DelayPowerSpectrum(power=total / n_runs, grid=g, kind=SpectrumKind.ENSEMBLE, count=n_runs)
+            for total in grid_totals
         )
-        for total in totals
+        for g, grid_totals in zip(grids, totals)
     )
+    return spectra[0] if single else spectra
 
 
 def ensemble_spectrum(

@@ -523,14 +523,20 @@ def _sample_system(
     return blocks, kernel
 
 
+def _flat_certified(graph: PropagationGraph) -> bool:
+    """Whether the flat bound of ``graph`` certifies its loop at every frequency, unsampled."""
+    bound = graph._edge_table.loop_bound
+    return bound is not None and bound <= SPECTRAL_RADIUS_LIMIT
+
+
 def _loop_is_contractive(graph: PropagationGraph, freqs) -> bool:
     """Whether the scatterer loop of ``graph`` contracts at every frequency in ``freqs``.
 
-    A flat bound that certifies the loop decides without sampling; any
-    other loop is sampled at ``freqs`` and checked sample by sample.
+    A flat bound that certifies the loop decides without sampling (see
+    :func:`_flat_certified`); any other loop is sampled at ``freqs`` and
+    checked sample by sample.
     """
-    bound = graph._edge_table.loop_bound
-    if bound is not None and bound <= SPECTRAL_RADIUS_LIMIT:
+    if _flat_certified(graph):
         return True
     try:
         verify_contraction(block_samples(graph, freqs).loop, freqs)

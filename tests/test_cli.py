@@ -37,7 +37,7 @@ from revgraph.cli import (
     _dissection_ranges,
 )
 from revgraph.graph import ConstantGain, EdgeClass
-from revgraph.scenario import _SCENARIO_FIELDS, ScenarioConfig
+from revgraph.scenario import _SCENARIO_FIELDS, ScenarioConfig, generate_realization
 from revgraph.synthesis import FrequencyGrid
 
 
@@ -646,6 +646,60 @@ def test_write_errors_name_the_file(monkeypatch, tmp_path, capsys, workers):
         assert f"while writing {blocked}" in capsys.readouterr().err
     # Dissect files in 2 chunks of at most 3, then the ensemble's runs one per task.
     assert pools == ([] if workers == 1 else [(2, 3), (2, 1)])
+
+
+_TWO_GRID_FLAGS = ["--grid", "2e9,3e9,16", "--grid", "1e9,11e9,32"]
+
+
+def _files(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_ensemble_runs_every_grid_in_one_pool(monkeypatch, tmp_path):
+    pools = _spy_on_pool(monkeypatch)
+    outputs = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        out = tmp_path / str(workers)
+        assert main(["ensemble", "--runs", "3", "--out", str(out)] + _TWO_GRID_FLAGS) == 0
+        outputs.append({name: data for name, data in _files(out).items()
+                        if not name.name.endswith(".meta.json")})
+    # One task per seed samples both grids: one pool, one run per task.
+    assert pools == [(2, 1)]
+    assert outputs[1] == outputs[0]
+    assert len(outputs[0]) == 2 + 2  # two spectra, plots.txt and tail_slopes.txt
+
+
+@pytest.mark.parametrize("doc, draws_per_seed", [({}, 1), ({"inter_scatterer_gain": 0.9999995}, 2)],
+                         ids=["flat-certified", "band-checked"])
+@pytest.mark.parametrize("mode", ["ensemble", "response", "spatial"])
+def test_two_grids_draw_a_seed_again_only_where_the_band_mattered(
+    monkeypatch, tmp_path, mode, doc, draws_per_seed
+):
+    # A given gain this close to one is past SPECTRAL_RADIUS_LIMIT: the flat
+    # bound certifies no loop, so acceptance samples each grid's band.
+    import revgraph.cli as cli
+    import revgraph.synthesis as synthesis
+
+    _use_workers(monkeypatch, 1)
+    seeds = []
+    for module in (cli, synthesis):
+        def counted(config, band, _honest=module.generate_realization):
+            seeds.append(config.seed)
+            return _honest(config, band)
+
+        monkeypatch.setattr(module, "generate_realization", counted)
+    cfg = _write(tmp_path, "c.json", {**doc, "runs": 2, "spatial_points": 2, "n_scatterers": 4})
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)] + _TWO_GRID_FLAGS) == 0
+    runs = 2 if mode == "ensemble" else 1
+    assert seeds == [seed for seed in range(runs) for _ in range(draws_per_seed)]
+    scenario = load_config(cfg).scenario
+    for meta in out.glob("*.meta.json"):
+        sidecar = json.loads(meta.read_text())
+        if "attempts" in sidecar:
+            band = (sidecar["grid"]["f_min_hz"], sidecar["grid"]["f_max_hz"])
+            assert sidecar["attempts"] == generate_realization(scenario, band).attempts
 
 
 _RESPONSE_AXES = "x = freq_hz / 1e9 (GHz), y = 20*log10(hypot(h_rx0_tx0_re, h_rx0_tx0_im)) (dB)"

@@ -53,6 +53,7 @@ from revgraph.scenario import ScenarioConfig, generate_realization
 from revgraph.transfer import (
     BounceRange,
     NumericalFailure,
+    _flat_certified,
     k_bounce_matrix,
     partial_transfer_matrix,
     transfer_matrix,
@@ -506,6 +507,61 @@ def test_worker_pool_matches_serial_average():
         np.testing.assert_array_equal(p.power, s.power)
 
 
+_TWO_GRIDS = (FrequencyGrid(2e9, 3e9, 16), FrequencyGrid(1e9, 11e9, 32))
+# A loop gain this close to one is past SPECTRAL_RADIUS_LIMIT, so the flat
+# bound certifies no loop and acceptance samples the band.
+_NEAR_UNIT_GAIN = ScenarioConfig(seed=63, n_scatterers=4, inter_scatterer_gain=0.9999995,
+                                 tail_slope_db_per_ns=None)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("config", [ScenarioConfig(seed=62, n_scatterers=4), _NEAR_UNIT_GAIN],
+                         ids=["flat-certified", "band-checked"])
+def test_multi_grid_ensemble_equals_per_grid_calls(config, workers):
+    windows = [hann_window(grid) for grid in _TWO_GRIDS]
+    ranges = (BounceRange.full(), BounceRange.exactly(1), BounceRange(0, 2), BounceRange.tail(2))
+    together = ensemble_spectra(config, _TWO_GRIDS, 3, windows, bounce_ranges=ranges,
+                                workers=workers)
+    assert len(together) == len(_TWO_GRIDS)
+    for grid, window, spectra in zip(_TWO_GRIDS, windows, together, strict=True):
+        alone = ensemble_spectra(config, grid, 3, window, bounce_ranges=ranges)
+        for a, t in zip(alone, spectra, strict=True):
+            assert t.grid == grid and t.count == 3
+            np.testing.assert_array_equal(t.power, a.power)
+
+
+@pytest.mark.parametrize("config, draws_per_run", [(ScenarioConfig(seed=62), 1),
+                                                   (_NEAR_UNIT_GAIN, 2)],
+                         ids=["flat-certified", "band-checked"])
+def test_a_multi_grid_run_draws_again_only_where_the_band_mattered(monkeypatch, config,
+                                                                   draws_per_run):
+    import revgraph.synthesis as synthesis
+
+    certified = _flat_certified(generate_realization(config, _TWO_GRIDS[0]).graph)
+    assert certified is (draws_per_run == 1)
+    honest = synthesis.generate_realization
+    bands = []
+
+    def counted(config, band):
+        bands.append((config.seed, band))
+        return honest(config, band)
+
+    monkeypatch.setattr(synthesis, "generate_realization", counted)
+    ensemble_spectra(config, _TWO_GRIDS, 3, [hann_window(grid) for grid in _TWO_GRIDS])
+    seeds = [config.seed + i for i in range(3)]
+    assert bands == [(seed, grid) for seed in seeds for grid in _TWO_GRIDS[:draws_per_run]]
+
+
+def test_multi_grid_ensemble_checks_its_windows():
+    windows = [hann_window(grid) for grid in _TWO_GRIDS]
+    with pytest.raises(LengthMismatch, match="1 windows for 2 grids"):
+        ensemble_spectra(ScenarioConfig(), _TWO_GRIDS, 2, windows[:1])
+    with pytest.raises(LengthMismatch, match="window grid differs"):
+        ensemble_spectra(ScenarioConfig(), _TWO_GRIDS, 2, windows[::-1])
+    with pytest.raises(ValueError, match="at least one frequency grid"):
+        ensemble_spectra(ScenarioConfig(), (), 2, ())
+
+
 def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     # The fake records the pool size and maps in this process, so no worker starts.
     import revgraph.synthesis as synthesis
@@ -634,13 +690,18 @@ def test_ensemble_error_names_the_failing_run(monkeypatch, workers):
 
     monkeypatch.setattr(synthesis, "generate_realization", explode_on_second)
     config = ScenarioConfig(seed=70, n_scatterers=4)
-    grid = FrequencyGrid(2e9, 3e9, 8)
-    window = hann_window(grid)
-    with pytest.raises(RuntimeError, match="synthetic failure") as info:
-        ensemble_spectrum(config, grid, 3, window, workers=workers)
-    notes = getattr(info.value, "__notes__", [])
-    combined = " ".join([str(info.value)] + list(notes))
-    assert "while simulating run 1 (seed 71)" in combined
+    grids = (FrequencyGrid(2e9, 3e9, 8), FrequencyGrid(1e9, 11e9, 8))
+    windows = [hann_window(grid) for grid in grids]
+    calls = [
+        lambda: ensemble_spectrum(config, grids[0], 3, windows[0], workers=workers),
+        lambda: ensemble_spectra(config, grids, 3, windows, workers=workers),  # one task per seed
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="synthetic failure") as info:
+            call()
+        notes = getattr(info.value, "__notes__", [])
+        combined = " ".join([str(info.value)] + list(notes))
+        assert "while simulating run 1 (seed 71)" in combined
 
 
 def test_run_note_goes_into_args_without_add_note():
