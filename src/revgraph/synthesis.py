@@ -43,8 +43,8 @@ from .transfer import (
     BounceRange,
     SpectralRadiusExceededAt,
     TransferSample,
-    _sample_placements,
-    _sample_slices,
+    _bounce_ranges,
+    _SampledSystem,
 )
 
 __all__ = [
@@ -213,13 +213,14 @@ def sample_transfer(
     otherwise.  A bounded range is a finite sum of k-bounce terms and needs
     neither the check nor the solve.
     """
-    (tensor,) = _sample_slices(graph, grid, (bounce_range,))
+    ranges = _bounce_ranges((bounce_range,), "bounce_range")
+    (tensor,) = _SampledSystem.of(graph, grid).slices(ranges)
     return ResponseSamples(grid=grid, bounce_range=bounce_range, tensor=tensor)
 
 
 def _nonempty(bounce_ranges) -> tuple[BounceRange, ...]:
-    """``bounce_ranges`` as a tuple, refused when empty, before anything is sampled."""
-    bounce_ranges = tuple(bounce_ranges)
+    """``bounce_ranges`` as a tuple of BounceRange values, refused when empty, before any work."""
+    bounce_ranges = _bounce_ranges(bounce_ranges, "bounce_ranges")
     if not bounce_ranges:
         raise ValueError("need at least one bounce range")
     return bounce_ranges
@@ -251,7 +252,7 @@ def sample_transfer_slices(
     :func:`revgraph.transfer.bounce_slices`.
     """
     bounce_ranges = _nonempty(bounce_ranges)
-    tensors = _sample_slices(graph, grid, bounce_ranges)
+    tensors = _SampledSystem.of(graph, grid).slices(bounce_ranges)
     return tuple(
         ResponseSamples(grid=grid, bounce_range=r, tensor=t)
         for r, t in zip(bounce_ranges, tensors)
@@ -400,7 +401,7 @@ def _ensemble_run_powers(config, grids, windows, bounce_ranges, rx_index, tx_ind
     realizations = _realizations(generate_realization, config, grids)
     return [
         [impulse_response(t[:, rx_index, tx_index], window).power()
-         for t in _sample_slices(realization.graph, grid, bounce_ranges)]
+         for t in _SampledSystem.of(realization.graph, grid).slices(bounce_ranges)]
         for grid, window, realization in zip(grids, windows, realizations)
     ]
 
@@ -439,6 +440,8 @@ def ensemble_spectra(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     single = isinstance(grid, FrequencyGrid)
+    if single != isinstance(window, WindowSpectrum):
+        raise LengthMismatch("one grid takes one window, a sequence of grids one window per grid")
     grids, windows = ((grid,), (window,)) if single else (tuple(grid), tuple(window))
     if not grids:
         raise ValueError("need at least one frequency grid")
@@ -526,7 +529,7 @@ def spatial_spectrum(
     rx_index, tx_index = _pair_indices(rx_index, tx_index, graph.n_rx, graph.n_tx)
     placements = (relocate_receiver(graph, rx_index, p) for p in positions)
     total = np.zeros(grid.n_samples)
-    for response in _sample_placements(graph, grid, placements):
+    for response in _SampledSystem.of(graph, grid).placements(placements):
         total += impulse_response(response[:, rx_index, tx_index], window).power()
     return DelayPowerSpectrum(
         power=total / len(positions),

@@ -6,15 +6,14 @@ block stays below one, the full series and any bounce-order slice of it
 collapse to closed forms built around solves against (I - loop).  This
 module is the one home of that engine: :func:`verify_contraction` checks
 the precondition, :class:`PrecomputedKernel` solves against (I - loop),
-and :func:`bounce_slices` forms the slices.  Every graph is sampled at one
-entry, :func:`_sample_blocks`, on a frequency grid or array.
-:func:`_sample_slices` forms the slices from those blocks,
-:func:`_sample_system` returns them with their checked, factored kernel,
-and :func:`_sample_placements` shares one solve among receiver placements.
-The grid sampling and spatial sweeps in ``synthesis`` call them with a
-:class:`~revgraph.synthesis.FrequencyGrid`, and each single-frequency
-function below with ``[freq_hz]``: one frequency is the m = 1 case of a
-stack.  :func:`_slices` alone forms the closed form.
+and :func:`bounce_slices` forms the slices.  One private object,
+:class:`_SampledSystem`, owns a sampled system (its blocks, their
+structures, the frequency axis and the loop's flat bound), whether a graph
+sampled once on a frequency grid or array or raw blocks.  Its methods check
+and factor the loop, solve the feed, form the slices, and share one solve
+among receiver placements.  ``synthesis`` builds it on a
+:class:`~revgraph.synthesis.FrequencyGrid`, each single-frequency function
+below on ``[freq_hz]``: one frequency is the m = 1 case of a stack.
 
 Parity.  The same arithmetic runs on every stack, so what a solve returns
 depends only on the blocks it is given:
@@ -225,11 +224,10 @@ def verify_contraction(loop: np.ndarray, freqs) -> None:
     solved by ``np.linalg.solve``.  The engine's own checks go one step
     further for graphs whose loop gains are all frequency-flat: the norms of
     the amplitude matrix bound every sample at once, so one n x n
-    computation replaces the per-sample sums (see :func:`_sample_system`).
+    computation replaces the per-sample sums (see :meth:`_SampledSystem.of`).
     Raw arrays, as here, always get the per-sample check.
     """
-    loop = np.asarray(loop)
-    _certify(_stack(loop), np.broadcast_to(freqs, loop.shape[:-2]).ravel(), None)
+    _certify(_stack(loop), np.broadcast_to(freqs, np.shape(loop)[:-2]).ravel(), None)
 
 
 def _bounce_order(value, end: str) -> int | float:
@@ -285,6 +283,15 @@ class BounceRange:
     @property
     def label(self) -> str:
         return f"{self.first}:{'inf' if self.unbounded else self.last}"
+
+
+def _bounce_ranges(values, name: str) -> tuple[BounceRange, ...]:
+    """``values`` as a tuple of bounce ranges, checked before any work; a TypeError names ``name``."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, BounceRange):
+            raise TypeError(f"{name}: expected a BounceRange, got {value!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -425,31 +432,8 @@ class PrecomputedKernel:
     @classmethod
     def from_loop_block(cls, loop: np.ndarray, frequency_hz) -> "PrecomputedKernel":
         """Check and factor a copy of one loop block (n, n) or a stack (..., n, n)."""
-        loop = np.asarray(loop)
-        freqs = np.broadcast_to(frequency_hz, loop.shape[:-2]).ravel()
-        stack = _stack(loop).copy()
-        kernel = cls._checked(stack, freqs, None, _dense(stack))
+        kernel = _SampledSystem.of_blocks(frequency_hz, loop=loop).factor()
         return replace(kernel, frequency_hz=frequency_hz)
-
-    @classmethod
-    def _checked(
-        cls, stack: np.ndarray, freqs, bound: float | None, pattern: np.ndarray
-    ) -> "PrecomputedKernel":
-        """Check the frequency-minor loop stack (n, n, m), then factor loop - I over it in place.
-
-        ``pattern`` is the loop's structure.
-        """
-        pivoted = _certify(stack, freqs, bound)
-        n = stack.shape[0]
-        for i in range(n):
-            diagonal = stack[i, i]
-            diagonal -= 1.0
-        dense = None
-        if pivoted.size:
-            dense = (pivoted, np.moveaxis(stack[:, :, pivoted], -1, 0))
-            stack[:, :, pivoted] = np.eye(n)[..., None]  # eliminated harmlessly, then replaced
-        filled = _factor(stack, pattern | np.eye(n, dtype=bool))
-        return cls(freqs, stack, filled, dense)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - loop) @ z = rhs for one or more right-hand-side columns.
@@ -491,38 +475,6 @@ class PrecomputedKernel:
         return solved
 
 
-def _sample_blocks(graph: PropagationGraph, freqs) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The four frequency-minor blocks of ``graph`` sampled once on ``freqs``, and the axis.
-
-    ``freqs`` is a frequency grid or an array, as :func:`block_samples`
-    takes.  The caller owns the blocks.
-    """
-    samples = block_samples(graph, freqs)
-    # the read-only blocks are views of storage that this call alone holds;
-    # the engine works in that storage
-    names = ("direct", "feed", "loop", "collect")
-    return {name: getattr(samples, name).base for name in names}, samples.freqs
-
-
-def _sample_system(
-    graph: PropagationGraph, freqs
-) -> tuple[dict[str, np.ndarray], PrecomputedKernel]:
-    """The blocks of ``graph`` sampled once on ``freqs``, and their checked, factored kernel.
-
-    Returns the frequency-minor ``direct``, ``feed`` and ``collect`` blocks,
-    which the caller owns, and the kernel, which factors loop - I in the loop
-    block's own storage and skips the terms of absent loop edges.  The
-    kernel is built with the graph's flat bound: when every loop edge has a
-    frequency-flat gain, the norm bound of the loop's amplitude matrix
-    certifies all samples at once.
-    """
-    blocks, freqs = _sample_blocks(graph, freqs)
-    table = graph._edge_table
-    loop = blocks.pop("loop")
-    kernel = PrecomputedKernel._checked(loop, freqs, table.loop_bound, table.patterns["loop"])
-    return blocks, kernel
-
-
 def _flat_certified(graph: PropagationGraph) -> bool:
     """Whether the flat bound of ``graph`` certifies its loop at every frequency, unsampled."""
     bound = graph._edge_table.loop_bound
@@ -543,12 +495,6 @@ def _loop_is_contractive(graph: PropagationGraph, freqs) -> bool:
     except SpectralRadiusExceeded:
         return False
     return True
-
-
-def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
-    """Contraction-checked (I - loop) for ``graph`` at one frequency."""
-    _, kernel = _sample_system(graph, [freq_hz])
-    return replace(kernel, frequency_hz=freq_hz)
 
 
 def _matmul(a: np.ndarray, pa, b: np.ndarray, pb) -> tuple[np.ndarray, np.ndarray]:
@@ -578,45 +524,128 @@ def _orders(bounce_range: BounceRange) -> range:
     return range(max(bounce_range.first, 1), int(bounce_range.last) + 1)
 
 
-def _slices(blocks, patterns, freqs, bound, bounce_ranges) -> list[np.ndarray]:
-    """The slices of :func:`bounce_slices`, frequency-minor, from one system's blocks.
+class _SampledSystem:
+    """One system sampled on a frequency axis, and the engine's steps on it.
 
-    ``blocks`` and ``patterns`` hold the frequency-minor direct, feed, loop
-    and collect blocks and their structures; ``freqs`` and ``bound`` are
-    passed to :meth:`PrecomputedKernel._checked`.  The loop and feed are
-    taken out of ``blocks``: the powers and the k-bounce terms are formed
-    first, then, when a range is unbounded, the loop is factored and the
-    feed solved in place, and the loop is released before any slice is
-    formed.
+    ``blocks`` holds the frequency-minor direct, feed, loop and collect
+    stacks (rows, cols, m), which the system owns, and ``patterns`` their
+    structures; ``freqs`` holds the m frequencies in the leading shape of
+    the results, and ``bound`` is a flat norm bound of the loop or None.  A
+    sampled graph's system also keeps its edge table and the grid or array
+    it was sampled on.  Factoring uses up the loop and solving overwrites
+    the feed, so each runs at most once.
     """
-    direct, collect = blocks["direct"], blocks["collect"]
-    feed, loop = blocks.pop("feed"), blocks.pop("loop")
-    bounded = [(i, r) for i, r in enumerate(bounce_ranges) if not r.unbounded]
-    tails = [(i, r) for i, r in enumerate(bounce_ranges) if r.unbounded]
-    top = max([r.last - 1 for _, r in bounded] + [max(r.first, 1) - 1 for _, r in tails],
-              default=0)
-    powers = [(collect, patterns["collect"])]  # u_j = collect @ loop^j and its structure
-    for _ in range(top):
-        powers.append(_matmul(*powers[-1], loop, patterns["loop"]))
-    orders = sorted({k for _, r in bounded for k in _orders(r)})
-    terms = {k: _matmul(*powers[k - 1], feed, patterns["feed"])[0] for k in orders}
-    if tails:
-        kernel = PrecomputedKernel._checked(loop, freqs, bound, patterns["loop"])
-        solved = kernel._solve_stack(feed, patterns["feed"])  # feed now holds W = -Z
-        del kernel
-    del loop
-    slices = {}
-    for i, r in bounded:
-        slices[i] = direct.copy() if r.first == 0 else np.zeros_like(direct)
-        for k in _orders(r):
-            slices[i] += terms[k]
-    products = {}
-    for i, r in tails:
-        j = max(r.first, 1) - 1
-        if j not in products:
-            products[j], _ = _matmul(*powers[j], feed, solved)
-        slices[i] = _tail(direct, products[j], r.first)
-    return [slices[i] for i in range(len(bounce_ranges))]
+
+    def __init__(self, blocks, patterns, freqs, bound, table=None, axis=None):
+        self.blocks, self.patterns, self.freqs, self.bound = blocks, patterns, freqs, bound
+        self.table, self.axis = table, axis
+
+    @classmethod
+    def of(cls, graph: PropagationGraph, freqs) -> "_SampledSystem":
+        """The four blocks of ``graph`` sampled once on ``freqs``, a grid or an array.
+
+        The loop's bound is the graph's flat bound: when every loop edge has
+        a frequency-flat gain, the norm bound of the loop's amplitude matrix
+        certifies all samples at once.
+        """
+        samples = block_samples(graph, freqs)
+        table = graph._edge_table
+        # the read-only blocks are views of storage that this call alone
+        # holds; the system works in that storage
+        blocks = {name: getattr(samples, name).base for name in ("direct", "feed", "loop", "collect")}
+        return cls(blocks, table.patterns, samples.freqs, table.loop_bound, table, freqs)
+
+    @classmethod
+    def of_blocks(cls, frequency_hz=math.nan, **blocks) -> "_SampledSystem":
+        """A system of raw blocks, each one block or a stack (..., rows, cols) on the first one's leading axes.
+
+        Raw arrays are taken as dense, and the loop and feed, which the steps
+        overwrite, are copied, so the inputs are only read.  ``frequency_hz``
+        labels the samples; NaN when no frequencies are known.
+        """
+        freqs = np.broadcast_to(frequency_hz, np.shape(next(iter(blocks.values())))[:-2])
+        stacks = {name: _stack(b).copy() if name in ("feed", "loop") else _stack(b)
+                  for name, b in blocks.items()}
+        patterns = {name: _dense(stack) for name, stack in stacks.items()}
+        return cls(stacks, patterns, freqs, None)
+
+    def factor(self) -> PrecomputedKernel:
+        """Check the loop, then factor loop - I in its own storage, which the kernel takes over."""
+        stack = self.blocks.pop("loop")
+        freqs = self.freqs.ravel()
+        pivoted = _certify(stack, freqs, self.bound)
+        n = stack.shape[0]
+        for i in range(n):
+            diagonal = stack[i, i]
+            diagonal -= 1.0
+        dense = None
+        if pivoted.size:
+            dense = (pivoted, np.moveaxis(stack[:, :, pivoted], -1, 0))
+            stack[:, :, pivoted] = np.eye(n)[..., None]  # eliminated harmlessly, then replaced
+        filled = _factor(stack, self.patterns["loop"] | np.eye(n, dtype=bool))
+        return PrecomputedKernel(freqs, stack, filled, dense)
+
+    def solve(self) -> np.ndarray:
+        """Factor, overwrite the feed with W = -Z, and release the loop; W's structure."""
+        return self.factor()._solve_stack(self.blocks["feed"], self.patterns["feed"])
+
+    def slices(self, bounce_ranges) -> list[np.ndarray]:
+        """The slices of :func:`bounce_slices`, one stack (..., rows, cols) per range, led like ``freqs``.
+
+        The powers and k-bounce terms come first, then the solve if a range
+        is unbounded; the loop is released before any slice is formed.
+        """
+        blocks, patterns = self.blocks, self.patterns
+        bounded = [(i, r) for i, r in enumerate(bounce_ranges) if not r.unbounded]
+        tails = [(i, r) for i, r in enumerate(bounce_ranges) if r.unbounded]
+        top = max([r.last - 1 for _, r in bounded] + [max(r.first, 1) - 1 for _, r in tails],
+                  default=0)
+        powers = [(blocks["collect"], patterns["collect"])]  # u_j = collect @ loop^j and its structure
+        for _ in range(top):
+            powers.append(_matmul(*powers[-1], blocks["loop"], patterns["loop"]))
+        orders = sorted({k for _, r in bounded for k in _orders(r)})
+        terms = {k: _matmul(*powers[k - 1], blocks["feed"], patterns["feed"])[0] for k in orders}
+        if tails:
+            solved = self.solve()
+        blocks.pop("loop", None)
+        direct, feed = blocks["direct"], blocks["feed"]
+        slices = {}
+        for i, r in bounded:
+            slices[i] = direct.copy() if r.first == 0 else np.zeros_like(direct)
+            for k in _orders(r):
+                slices[i] += terms[k]
+        products = {}
+        for i, r in tails:
+            j = max(r.first, 1) - 1
+            if j not in products:
+                products[j], _ = _matmul(*powers[j], feed, solved)
+            slices[i] = _tail(direct, products[j], r.first)
+        return [_unstack(slices[i], self.freqs.shape) for i in range(len(bounce_ranges))]
+
+    def placements(self, graphs):
+        """The full-range response (m, n_rx, n_tx) of each graph in ``graphs``, taken lazily.
+
+        Each is the sampled graph with a receiver moved.  A move changes only
+        the direct and collect blocks, so Z = (I - loop)^-1 feed serves every
+        placement, which samples those two blocks alone.  Its table must hold
+        the block shapes and the feed and loop rows (indices, delays, phases,
+        gains) of the sampled graph's, or RuntimeError is raised.
+        """
+        solved = self.solve()
+        w, self.blocks = self.blocks["feed"], {}  # w is -Z; direct and collect are released
+        base = self.table
+        scatterer_side = (base.shapes, base.rows["feed"], base.rows["loop"])
+        for table in (graph._edge_table for graph in graphs):
+            if (table.shapes, table.rows["feed"], table.rows["loop"]) != scatterer_side:
+                raise RuntimeError("receiver move altered scatterer-side edges")
+            _, placed = table.stacks(self.axis, ("direct", "collect"))
+            product, _ = _matmul(placed["collect"], table.patterns["collect"], w, solved)
+            yield _unstack(_tail(placed["direct"], product, 0), self.freqs.shape)
+
+
+def make_kernel(graph: PropagationGraph, freq_hz: float) -> PrecomputedKernel:
+    """Contraction-checked (I - loop) for ``graph`` at one frequency."""
+    return replace(_SampledSystem.of(graph, [freq_hz]).factor(), frequency_hz=freq_hz)
 
 
 def bounce_slices(direct, loop, collect, feed, bounce_ranges) -> list[np.ndarray]:
@@ -640,44 +669,9 @@ def bounce_slices(direct, loop, collect, feed, bounce_ranges) -> list[np.ndarray
     only read.  The work runs on frequency-minor stacks; each slice comes
     back with the leading axes of ``direct``.
     """
-    lead = np.shape(direct)[:-2]
-    blocks = {"direct": _stack(direct), "feed": _stack(feed).copy(),
-              "loop": _stack(loop).copy(), "collect": _stack(collect)}
-    patterns = {name: _dense(block) for name, block in blocks.items()}
-    m = blocks["direct"].shape[-1]
-    slices = _slices(blocks, patterns, np.full(m, np.nan), None, tuple(bounce_ranges))
-    return [_unstack(s, lead) for s in slices]
-
-
-def _sample_slices(graph: PropagationGraph, freqs, bounce_ranges) -> list[np.ndarray]:
-    """Bounce-order slices of ``graph`` on ``freqs``, one (m, n_rx, n_tx) stack per range."""
-    blocks, freqs = _sample_blocks(graph, freqs)
-    table = graph._edge_table
-    slices = _slices(blocks, table.patterns, freqs, table.loop_bound, tuple(bounce_ranges))
-    return [_unstack(s, freqs.shape) for s in slices]
-
-
-def _sample_placements(graph: PropagationGraph, freqs, placements):
-    """The full-range response (m, n_rx, n_tx) of each graph in ``placements``, taken lazily.
-
-    Each is ``graph`` with a receiver moved.  A move changes only the direct
-    and collect blocks, so Z = (I - loop)^-1 feed of ``graph`` serves every
-    placement, which samples those two blocks alone.  Its table must hold
-    the block shapes and the feed and loop rows (indices, delays, phases,
-    gains) of ``graph``'s, or RuntimeError is raised.
-    """
-    blocks, kernel = _sample_system(graph, freqs)
-    base = graph._edge_table
-    w = blocks["feed"]
-    solved = kernel._solve_stack(w, base.patterns["feed"])  # w now holds -Z
-    del blocks, kernel
-    scatterer_side = (base.shapes, base.rows["feed"], base.rows["loop"])
-    for table in (placement._edge_table for placement in placements):
-        if (table.shapes, table.rows["feed"], table.rows["loop"]) != scatterer_side:
-            raise RuntimeError("receiver move altered scatterer-side edges")
-        _, placed = table.stacks(freqs, ("direct", "collect"))
-        product, _ = _matmul(placed["collect"], table.patterns["collect"], w, solved)
-        yield _unstack(_tail(placed["direct"], product, 0), w.shape[-1:])
+    bounce_ranges = _bounce_ranges(bounce_ranges, "bounce_ranges")
+    system = _SampledSystem.of_blocks(direct=direct, feed=feed, loop=loop, collect=collect)
+    return system.slices(bounce_ranges)
 
 
 def transfer_matrix(graph: PropagationGraph, freq_hz: float) -> TransferSample:
@@ -702,7 +696,8 @@ def partial_transfer_matrix(
     graph: PropagationGraph, freq_hz: float, bounce_range: BounceRange
 ) -> TransferSample:
     """Transfer matrix restricted to bounce orders in ``bounce_range``."""
-    (matrix,) = _sample_slices(graph, [freq_hz], (bounce_range,))
+    ranges = _bounce_ranges((bounce_range,), "bounce_range")
+    (matrix,) = _SampledSystem.of(graph, [freq_hz]).slices(ranges)
     return TransferSample(float(freq_hz), matrix[0], bounce_range)
 
 
@@ -722,5 +717,5 @@ def scatterer_signal(graph: PropagationGraph, freq_hz: float, x: np.ndarray) -> 
     x = np.asarray(x, dtype=complex)
     if x.shape != (graph.n_tx,):
         raise ValueError(f"input vector must have shape ({graph.n_tx},), got {x.shape}")
-    blocks, kernel = _sample_system(graph, [freq_hz])
-    return kernel.solve(blocks["feed"][:, :, 0] @ x)
+    system = _SampledSystem.of(graph, [freq_hz])
+    return system.factor().solve(system.blocks["feed"][:, :, 0] @ x)

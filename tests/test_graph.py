@@ -54,7 +54,7 @@ from revgraph.synthesis import FrequencyGrid, sample_transfer, sample_transfer_s
 from revgraph.transfer import (
     BounceRange,
     PrecomputedKernel,
-    _sample_system,
+    _SampledSystem,
     make_kernel,
     scatterer_signal,
     transfer_matrix,
@@ -503,7 +503,7 @@ def test_stack_solves_equal_single_frequency_solves_bitwise():
         freqs = grid.frequencies()
         samples = block_samples(graph, freqs)
         stacked = PrecomputedKernel.from_loop_block(samples.loop, freqs).solve(samples.feed)
-        certified = _sample_system(graph, freqs)[1].solve(samples.feed)
+        certified = _SampledSystem.of(graph, freqs).factor().solve(samples.feed)
         np.testing.assert_array_equal(certified, stacked)
         tensor = sample_transfer(graph, grid).tensor
         scale = np.abs(tensor).max()

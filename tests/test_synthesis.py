@@ -18,6 +18,10 @@ Also covered:
   offending sample index attached, the same sample rejected by the
   single-frequency path, logged condition warnings, and eigensolver
   failures wrapped as NumericalFailure
+- shared products that change no value: every slice of a shared call
+  equals a call for its range alone, and a receiver placement equals its
+  moved graph sampled alone, bit for bit
+- bounce ranges and grid/window pairings checked before any work
 - ensemble and spatial averaging, including worker-pool parity over
   several ranges, ensemble memory that does not grow with the run count,
   and run notes on interpreters without add_note
@@ -276,6 +280,18 @@ def test_bounce_slices_share_solves_and_add_up():
     f = grid.frequencies()[9]
     single = partial_transfer_matrix(realization.graph, f, BounceRange.exactly(3))
     np.testing.assert_allclose(mid.tensor[9], single.matrix, rtol=1e-11, atol=1e-16)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sharing_products_changes_no_value(seed):
+    # the shared powers, terms and solve give each range the values of a
+    # call that asks for that range alone
+    grid = FrequencyGrid(2e9, 3e9, 1024)
+    graph = generate_realization(ScenarioConfig(seed=seed), grid).graph
+    ranges = list(_dissection_ranges(4)) + [BounceRange.exactly(k) for k in range(1, 6)]
+    for piece in sample_transfer_slices(graph, grid, ranges):
+        alone = sample_transfer(graph, grid, piece.bounce_range).tensor
+        assert np.array_equal(piece.tensor.view(float), alone.view(float)), piece.bounce_range.label
 
 
 def test_every_dissection_range_matches_the_per_frequency_engine():
@@ -562,6 +578,15 @@ def test_multi_grid_ensemble_checks_its_windows():
         ensemble_spectra(ScenarioConfig(), (), 2, ())
 
 
+def test_ensemble_pairs_grids_and_windows_before_any_draw(monkeypatch):
+    windows = [hann_window(grid) for grid in _TWO_GRIDS]
+    _forbid_work(monkeypatch)
+    with pytest.raises(LengthMismatch, match="one window per grid"):
+        ensemble_spectra(ScenarioConfig(), _TWO_GRIDS, 2, windows[0])
+    with pytest.raises(LengthMismatch, match="one grid takes one window"):
+        ensemble_spectra(ScenarioConfig(), _TWO_GRIDS[0], 2, windows[:1])
+
+
 def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     # The fake records the pool size and maps in this process, so no worker starts.
     import revgraph.synthesis as synthesis
@@ -653,6 +678,22 @@ def test_empty_bounce_ranges_are_refused_before_sampling(monkeypatch):
         sample_transfer_slices(graph, grid, [])
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda graph, grid: sample_transfer(graph, grid, (0, 3)), "bounce_range"),
+    (lambda graph, grid: sample_transfer_slices(graph, grid, [BounceRange.full(), (0, 3)]),
+     "bounce_ranges"),
+    (lambda graph, grid: partial_transfer_matrix(graph, 2.5e9, "0:inf"), "bounce_range"),
+    (lambda graph, grid: ensemble_spectra(ScenarioConfig(), grid, 2, hann_window(grid),
+                                          bounce_ranges=[(1, 1)]), "bounce_ranges"),
+], ids=["sample_transfer", "sample_transfer_slices", "partial_transfer_matrix", "ensemble_spectra"])
+def test_bounce_ranges_are_type_checked_before_any_work(monkeypatch, call, name):
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    graph = _small_realization(seed=84).graph
+    _forbid_work(monkeypatch)
+    with pytest.raises(TypeError, match=f"^{name}: expected a BounceRange"):
+        call(graph, grid)
+
+
 def test_ensemble_memory_does_not_grow_with_runs():
     # Powers are summed as runs arrive, so peak memory must not hold one
     # array per run: the peak may grow by less than one M-sample float64
@@ -725,6 +766,21 @@ def test_spatial_average_over_one_position_matches_single_run():
     np.testing.assert_allclose(spectrum.power, single.power(), rtol=1e-9, atol=1e-30)
     assert spectrum.kind is SpectrumKind.SPATIAL
     assert spectrum.count == 1
+
+
+def test_a_placement_equals_the_moved_graph_sampled_alone():
+    # one shared solve, and the receiver side sampled on the grid as the
+    # moved graph's own sampling is, so one position matches bit for bit
+    from revgraph.scenario import relocate_receiver
+
+    realization = _small_realization(seed=82)
+    grid = FrequencyGrid(2e9, 3e9, 64)
+    window = hann_window(grid)
+    position = tuple(np.asarray(realization.graph.position(rx(0))) + 0.01)
+    spectrum = spatial_spectrum(realization, [position], grid, window)
+    moved = relocate_receiver(realization.graph, 0, position)
+    alone = impulse_response(sample_transfer(moved, grid), window).power()
+    assert np.array_equal(spectrum.power, alone)
 
 
 def test_spatial_average_equals_naive_per_position_mean():

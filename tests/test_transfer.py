@@ -52,7 +52,7 @@ from revgraph.transfer import (
     SingularSystem,
     SpectralRadiusExceeded,
     SpectralRadiusExceededAt,
-    _sample_system,
+    _SampledSystem,
     k_bounce_matrix,
     make_kernel,
     partial_transfer_matrix,
@@ -283,10 +283,10 @@ def test_flat_and_per_sample_certificates_agree_at_the_limit(side):
     assert _loop_is_contractive(graph, freqs) is contracts
     if contracts:
         verify_contraction(loop, freqs)
-        _sample_system(graph, freqs)
+        _SampledSystem.of(graph, freqs).factor()
     else:
         for check in (lambda: verify_contraction(loop, freqs),
-                      lambda: _sample_system(graph, freqs)):
+                      lambda: _SampledSystem.of(graph, freqs).factor()):
             with pytest.raises(SpectralRadiusExceededAt) as info:
                 check()
             assert info.value.sample_index == 0
@@ -693,7 +693,7 @@ def test_skipped_terms_change_no_value(case):
     _oracle_substitute(system, z)
     expected = np.moveaxis(z, -1, 0)
     # the graph's structure skips terms; a raw array is taken as dense
-    _, kernel = _sample_system(graph, STRUCTURE_GRID)
+    kernel = _SampledSystem.of(graph, STRUCTURE_GRID).factor()
     np.testing.assert_array_equal(kernel.solve(samples.feed), expected)
     dense = PrecomputedKernel.from_loop_block(samples.loop, STRUCTURE_GRID.frequencies())
     np.testing.assert_array_equal(dense.solve(samples.feed), expected)
@@ -709,7 +709,7 @@ def test_skipped_terms_change_no_value(case):
         BounceRange(1, 3): terms[0] + terms[1] + terms[2],
         BounceRange(0, 2): direct + terms[0] + terms[1],
     }
-    slices = revgraph.transfer._sample_slices(graph, STRUCTURE_GRID, tuple(oracles))
+    slices = revgraph.transfer._SampledSystem.of(graph, STRUCTURE_GRID).slices(tuple(oracles))
     for (bounce_range, oracle), piece in zip(oracles.items(), slices):
         np.testing.assert_array_equal(piece, np.moveaxis(oracle, -1, 0), err_msg=bounce_range.label)
 
