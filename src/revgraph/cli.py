@@ -18,10 +18,10 @@ modes simulate first, then write through one routine, ``_write_run``: JSON
 sidecars with the grid, window, seeds, and the config and its digest; plain
 CSV files, whose writer and ``plots.txt`` axes follow from their data's type;
 each float is the shortest text that reads back to it, as ``repr`` prints it,
-so reruns are byte-identical.  The
-``REVGRAPH_THREADS`` environment variable caps the worker processes of both
-the ensemble runs and the CSV writers of ``response`` and ``dissect``; output
-is byte-identical at any worker count.  ``ensemble`` starts one pool per
+so reruns are byte-identical.  Every file is written by the invoking
+process.  The ``REVGRAPH_THREADS`` environment variable caps the worker
+processes of the ensemble runs, the only mode that starts any; output is
+byte-identical at any worker count.  ``ensemble`` starts one pool per
 invocation, with one task per seed that samples every grid.  A seed's room is
 drawn once for all grids unless its draw depended on the band (see
 :func:`revgraph.synthesis.ensemble_spectra`); ``response`` and ``spatial``
@@ -303,17 +303,17 @@ _PLOT_AXES = {
 }
 
 
-def _write_run(spec: ExperimentSpec, out: Path, sidecars, files, workers: int | None = None) -> None:
+def _write_run(spec: ExperimentSpec, out: Path, sidecars, files) -> None:
     """Write a run's sidecars, its CSV files and the plots.txt that describes them.
 
     ``sidecars`` holds (file name, grid, seeds, entries after ``mode``) and ``files``
-    holds (file name, data); ``workers`` is passed on to :func:`write_csv_files`.
+    holds (file name, data).
     """
     config_doc = spec_to_document(spec)
     for name, grid, seeds, extra in sidecars:
         write_sidecar(out / name, grid=grid, window_label=WINDOW_LABEL, seeds=seeds,
                       config_doc=config_doc, extra={"mode": spec.mode.value, **extra})
-    write_csv_files([(out / name, data) for name, data in files], workers)
+    write_csv_files([(out / name, data) for name, data in files])
     plots = []
     for name, data in files:
         line = f"{name}: {_PLOT_AXES[type(data)]}"
@@ -325,7 +325,6 @@ def _write_run(spec: ExperimentSpec, out: Path, sidecars, files, workers: int | 
 
 def _run_response(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
-    workers = _worker_count(2 * len(spec.grids))
     sidecars = []
     files = []
     realizations = _realizations(generate_realization, spec.scenario, spec.grids)
@@ -336,7 +335,7 @@ def _run_response(spec: ExperimentSpec) -> int:
                   (f"impulse_{tag}.csv", impulse_response(samples, hann_window(grid)))]
         sidecars.append((f"response_{tag}.meta.json", grid, [spec.scenario.seed],
                          {"attempts": realization.attempts}))
-    _write_run(spec, out, sidecars, files, workers)
+    _write_run(spec, out, sidecars, files)
     return 0
 
 
@@ -354,10 +353,7 @@ def _run_dissect(spec: ExperimentSpec) -> int:
     out = _require_out_dir(spec)
     grid = spec.grids[0]
     ranges = _dissection_ranges(spec.k_max)
-    workers = _worker_count(len(ranges))
     realization = generate_realization(spec.scenario, grid)
-    # Held until the files are written: freeing the slices before the CSV writers fork made
-    # the benchmark's inspect peak RSS read 3.3 MiB higher in more runs (glibc heap layout).
     slices = sample_transfer_slices(realization.graph, grid, ranges)
     window = hann_window(grid)
     files = [
@@ -369,7 +365,7 @@ def _run_dissect(spec: ExperimentSpec) -> int:
         "ranges": [r.label for r in ranges],
         "attempts": realization.attempts,
     })
-    _write_run(spec, out, [sidecar], files, workers)
+    _write_run(spec, out, [sidecar], files)
     return 0
 
 

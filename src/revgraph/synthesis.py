@@ -380,12 +380,12 @@ def _release_freed_heap() -> None:
     trim(0)
 
 
-def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
+def _ordered_map(fn, items, workers: int | None):
     """Yield ``fn(item)`` for each item, in input order.
 
     With ``workers`` > 1 and at least two items, the calls run in a pool of at
-    most ``workers`` processes, ``chunksize`` items per task; otherwise they
-    run here, one at a time.  ``fn`` and the items must pickle.
+    most ``workers`` processes, one item per task; otherwise they run here,
+    one at a time.  ``fn`` and the items must pickle.
     """
     items = list(items)
     if workers is None or workers < 2 or len(items) < 2:
@@ -393,7 +393,7 @@ def _ordered_map(fn, items, workers: int | None, chunksize: int = 1):
         return
     _release_freed_heap()
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+        yield from pool.map(fn, items)
 
 
 def _ensemble_run_powers(config, grids, windows, bounce_ranges, rx_index, tx_index):
@@ -517,13 +517,16 @@ def spatial_spectrum(
     nothing else.  That sharing is guarded by value: a moved graph must
     keep the block shapes and the feed and loop edges (indices, delays,
     phases and gains), or :class:`RuntimeError` is raised.  ``rx_index``
-    and ``tx_index`` are checked against the graph's counts before the
-    solve.
+    and ``tx_index`` are checked against the graph's counts, and each
+    position is checked to be a finite 3-vector, before the solve.
     """
     graph = realization.graph if isinstance(realization, ScenarioRealization) else realization
     positions = [tuple(float(c) for c in p) for p in rx_positions]
     if not positions:
         raise ValueError("need at least one receiver position")
+    for i, p in enumerate(positions):
+        if len(p) != 3 or not all(map(math.isfinite, p)):
+            raise ValueError(f"receiver position {i} must be a finite 3-vector, got {p}")
     if window.grid != grid:
         raise LengthMismatch("window grid differs from the sampling grid")
     rx_index, tx_index = _pair_indices(rx_index, tx_index, graph.n_rx, graph.n_tx)
@@ -629,8 +632,8 @@ def write_spectrum_csv(path, spectrum: DelayPowerSpectrum) -> None:
 
 
 # Each job's writer is chosen by the type of its data and looked up by name in
-# this module where the job runs.  No function object is pickled, so a writer
-# replaced by a closure (a profiler's timing wrapper, say) still runs in a pool.
+# this module when the job runs, so a writer replaced by a wrapper (a
+# profiler's timing span, say) is the one that runs.
 _CSV_WRITERS = {
     ResponseSamples: "write_response_csv",
     ImpulseResponse: "write_impulse_csv",
@@ -638,28 +641,20 @@ _CSV_WRITERS = {
 }
 
 
-def _write_csv_job(job) -> None:
-    path, data = job
-    try:
-        globals()[_CSV_WRITERS[type(data)]](path, data)
-    except Exception as exc:
-        _add_note(exc, f"while writing {path}")
-        raise
-
-
-def write_csv_files(jobs, workers: int | None = None) -> None:
-    """Write ``(path, data)`` jobs with the writer for each data's type.
+def write_csv_files(jobs) -> None:
+    """Write ``(path, data)`` jobs in order with the writer for each data's type.
 
     ``write_response_csv``, ``write_impulse_csv`` and ``write_spectrum_csv`` write
     :class:`ResponseSamples`, :class:`ImpulseResponse` and :class:`DelayPowerSpectrum`.
-    Every float is written as ``repr`` prints it (see :mod:`revgraph._csvtext`).  With
-    ``workers`` > 1 the jobs are split into one chunk per worker process; the bytes
-    written do not depend on ``workers``.  An error names the file being written.
+    Every float is written as ``repr`` prints it (see :mod:`revgraph._csvtext`).  An
+    error names the file being written.
     """
-    jobs = list(jobs)
-    chunksize = -(-len(jobs) // workers) if workers else 1
-    for _ in _ordered_map(_write_csv_job, jobs, workers, chunksize):
-        pass
+    for path, data in jobs:
+        try:
+            globals()[_CSV_WRITERS[type(data)]](path, data)
+        except Exception as exc:
+            _add_note(exc, f"while writing {path}")
+            raise
 
 
 def config_digest(config_doc: dict) -> str:

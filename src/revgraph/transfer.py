@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._fields import _integer, _named
-from .graph import PropagationGraph, adjacency_blocks, block_samples
+from .graph import PropagationGraph, block_samples
 
 __all__ = [
     "SPECTRAL_RADIUS_LIMIT",
@@ -684,12 +684,7 @@ def k_bounce_matrix(graph: PropagationGraph, freq_hz: float, k: int) -> Transfer
     k = _named(_integer, k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    blocks = adjacency_blocks(graph, freq_hz)
-    bounce_range = BounceRange.exactly(k)
-    (matrix,) = bounce_slices(
-        blocks.direct, blocks.loop, blocks.collect, blocks.feed, (bounce_range,)
-    )
-    return TransferSample(float(freq_hz), matrix, bounce_range)
+    return partial_transfer_matrix(graph, freq_hz, BounceRange.exactly(k))
 
 
 def partial_transfer_matrix(

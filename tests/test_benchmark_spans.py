@@ -4,11 +4,11 @@
 rename or deletion in revgraph breaks the traced benchmark run.  This test
 installs the spans on a fresh tracer, drives small ``revgraph validate``,
 ``spatial``, ``ensemble`` and ``dissect`` runs through them, and removes them
-again; it only reads ``perfbench/``.  The ``ensemble`` spectrum files must be
-written in this process, where a traced run sees them, at any worker count.
-Grid-driven sampling must reach the ``graph.block_samples`` span with an
-argument whose size is the grid's M, so that the span counts M edge samples
-per edge.
+again; it only reads ``perfbench/``.  The ``ensemble`` and ``dissect`` CSV
+files must be written in this process, where a traced run sees them, at any
+worker count.  Grid-driven sampling must reach the ``graph.block_samples``
+span with an argument whose size is the grid's M, so that the span counts M
+edge samples per edge.
 """
 
 import importlib
@@ -80,7 +80,7 @@ def test_benchmark_spans_see_the_spatial_sweep(monkeypatch, capsys, tmp_path):
     (["dissect", "--kmax", "2"], ("synthesis.sample_transfer_slices",)),
 ])
 def test_benchmark_spans_see_ensemble_and_dissect(monkeypatch, capsys, tmp_path, argv, spans):
-    # One worker keeps every run and CSV writer in this process, where the spans are.
+    # One worker keeps every run in this process, where the spans are.
     monkeypatch.setenv("REVGRAPH_THREADS", "1")
     status, tracer = _traced_main(monkeypatch, argv + [
         "--out", str(tmp_path / "out"), "--grid", "2e9,3e9,16",
@@ -88,14 +88,14 @@ def test_benchmark_spans_see_ensemble_and_dissect(monkeypatch, capsys, tmp_path,
     assert status == 0, capsys.readouterr()
     for span in ("graph.block_samples", "synthesis.write_csv") + spans:
         assert tracer.calls(span), f"no call went through the {span} span"
-    if argv[0] == "ensemble":
-        # The benchmark times spectrum writes in this process even when the runs are pooled.
-        monkeypatch.setenv("REVGRAPH_THREADS", "2")
-        status, tracer = _traced_main(monkeypatch, argv + [
-            "--out", str(tmp_path / "pooled"), "--grid", "2e9,3e9,16", "--grid", "1e9,11e9,16",
-        ])
-        assert status == 0, capsys.readouterr()
-        assert tracer.calls("synthesis.write_csv") == 2
+    # The benchmark times every CSV write in this process even where a pool may run.
+    monkeypatch.setenv("REVGRAPH_THREADS", "2")
+    monkeypatch.setattr(revgraph.cli.os, "cpu_count", lambda: 2)
+    pooled = tmp_path / "pooled"
+    grids = ["--grid", "2e9,3e9,16"] + (["--grid", "1e9,11e9,16"] if argv[0] == "ensemble" else [])
+    status, tracer = _traced_main(monkeypatch, argv + ["--out", str(pooled)] + grids)
+    assert status == 0, capsys.readouterr()
+    assert tracer.calls("synthesis.write_csv") == len(list(pooled.glob("*.csv"))) > 1
 
 
 @pytest.mark.parametrize("entry", ["sample_transfer", "ensemble_spectra"])

@@ -550,11 +550,10 @@ def test_engine_errors_exit_one(monkeypatch, tmp_path, capsys):
 def test_threads_override_is_validated(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REVGRAPH_THREADS", "many")
     cfg = _write(tmp_path, "c.json", {"runs": 2})
-    for mode in ("ensemble", "dissect"):
-        status = main([mode, "--config", str(cfg), "--out", str(tmp_path / mode),
-                       "--grid", "2e9,3e9,16"])
-        assert status == 2
-        assert capsys.readouterr().err.startswith("config error: REVGRAPH_THREADS: ")
+    status = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "ensemble"),
+                   "--grid", "2e9,3e9,16"])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("config error: REVGRAPH_THREADS: ")
 
 
 def _spy_on_pool(monkeypatch) -> list:
@@ -602,7 +601,7 @@ def _wrap_writers(monkeypatch) -> None:
                 monkeypatch.setattr(module, name, wrapper)
 
 
-def test_pooled_csv_writes_match_serial(monkeypatch, tmp_path):
+def test_csv_writes_start_no_pool(monkeypatch, tmp_path):
     out = tmp_path / "o"
     argvs = [
         ["response", "--out", str(out / "r"), "--grid", "2e9,3e9,64", "--grid", "1e9,11e9,32"],
@@ -616,17 +615,13 @@ def test_pooled_csv_writes_match_serial(monkeypatch, tmp_path):
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
     pools = _spy_on_pool(monkeypatch)
-    _use_workers(monkeypatch, 1)
-    serial = run_all()
-    assert pools == []
-    assert len([p for p in serial if p.suffix == ".csv"]) == 4 + 14
     _use_workers(monkeypatch, 2)
-    assert run_all() == serial
-    # One chunk per worker: 4 response files, then 14 dissect files, over 2 workers.
-    assert pools == [(2, 2), (2, 7)]
+    written = run_all()
+    assert len([p for p in written if p.suffix == ".csv"]) == 4 + 14
     _wrap_writers(monkeypatch)
-    assert run_all() == serial
-    assert pools == [(2, 2), (2, 7)] * 2
+    assert run_all() == written
+    # Two cores and no REVGRAPH_THREADS: every file is still written here.
+    assert pools == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -634,8 +629,8 @@ def test_write_errors_name_the_file(monkeypatch, tmp_path, capsys, workers):
     pools = _spy_on_pool(monkeypatch)
     _use_workers(monkeypatch, workers)
     cases = [
-        (["dissect", "--kmax", "1"], "dissect_1toinf.csv"),  # the last of 5 files, in the second chunk
-        (["ensemble", "--runs", "2"], "spectrum_ensemble_2to3GHz_M16.csv"),  # written here
+        (["dissect", "--kmax", "1"], "dissect_1toinf.csv"),  # the last of 5 files
+        (["ensemble", "--runs", "2"], "spectrum_ensemble_2to3GHz_M16.csv"),
     ]
     for argv, name in cases:
         out = tmp_path / argv[0]
@@ -644,8 +639,8 @@ def test_write_errors_name_the_file(monkeypatch, tmp_path, capsys, workers):
         status = main(argv + ["--out", str(out), "--grid", "2e9,3e9,16"])
         assert status == 1
         assert f"while writing {blocked}" in capsys.readouterr().err
-    # Dissect files in 2 chunks of at most 3, then the ensemble's runs one per task.
-    assert pools == ([] if workers == 1 else [(2, 3), (2, 1)])
+    # Only the ensemble's runs are pooled, one per task.
+    assert pools == ([] if workers == 1 else [(2, 1)])
 
 
 _TWO_GRID_FLAGS = ["--grid", "2e9,3e9,16", "--grid", "1e9,11e9,32"]

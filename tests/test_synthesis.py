@@ -655,6 +655,17 @@ def test_pair_indices_are_checked_before_any_work(monkeypatch, mode, name, bad):
             spatial_spectrum(realization, [position], grid, window, **{name: bad})
 
 
+@pytest.mark.parametrize("bad", [(1.0, 2.0), (1.0, 2.0, 1.5, 0.0), (1.0, math.nan, 1.5),
+                                 (-math.inf, 2.0, 1.5)], ids=["2-vector", "4-vector", "nan", "inf"])
+def test_spatial_positions_are_checked_before_any_work(monkeypatch, bad):
+    grid = FrequencyGrid(2e9, 3e9, 16)
+    realization = generate_realization(TWO_BY_TWO, BAND)
+    good = tuple(realization.graph.position(rx(0)))
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=r"^receiver position 1 must be a finite 3-vector"):
+        spatial_spectrum(realization, [good, bad], grid, hann_window(grid))
+
+
 @pytest.mark.parametrize("name, bad", [("rx_index", -1), ("rx_index", 2), ("rx_index", True),
                                        ("tx_index", -1), ("tx_index", 2), ("tx_index", 1.0)])
 def test_response_pair_checks_its_indices(name, bad):

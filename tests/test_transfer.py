@@ -53,6 +53,7 @@ from revgraph.transfer import (
     SpectralRadiusExceeded,
     SpectralRadiusExceededAt,
     _SampledSystem,
+    bounce_slices,
     k_bounce_matrix,
     make_kernel,
     partial_transfer_matrix,
@@ -352,6 +353,16 @@ def test_k_bounce_terms():
     expected3 = blocks.collect @ blocks.loop @ blocks.loop @ blocks.feed
     np.testing.assert_allclose(k_bounce_matrix(graph, PROBE_HZ, 3).matrix,
                                expected3, rtol=1e-12)
+    # On default rooms the engine's exact range equals the recurrence on the
+    # dense single-frequency blocks bit for bit.
+    for seed in range(20):
+        room = generate_realization(ScenarioConfig(seed=seed), (2e9, 3e9)).graph
+        for freq in (2e9, 2.5e9, 3e9):
+            blocks = adjacency_blocks(room, freq)
+            for k in range(7):
+                (dense,) = bounce_slices(blocks.direct, blocks.loop, blocks.collect,
+                                         blocks.feed, (BounceRange.exactly(k),))
+                np.testing.assert_array_equal(k_bounce_matrix(room, freq, k).matrix, dense)
 
 
 def test_k_bounce_needs_no_contraction():
