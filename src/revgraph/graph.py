@@ -4,8 +4,9 @@ A channel is modelled as a directed graph whose vertices are transmitters,
 receivers, and scatterers.  Each edge carries a complex transfer function
 built from an amplitude law, a fixed phase, and a propagation delay.  This
 module owns the graph data model, the frequency-domain adjacency blocks,
-graph reversal, JSON round-tripping, and a brute-force path enumerator that
-serves as the reference oracle for the closed-form engine.
+graph reversal, JSON round-tripping, and :func:`walk_sum`, a brute-force
+sum over signal walks that serves as the reference oracle for the
+closed-form engine.
 
 Block index convention: entry ``[row, col]`` weights the edge from source
 vertex ``col`` to destination vertex ``row``, so a signal column vector is
@@ -29,7 +30,6 @@ __all__ = [
     "StructuralViolation",
     "MissingPositions",
     "ExplosionGuard",
-    "InvalidWalk",
     "VertexKind",
     "VertexId",
     "tx",
@@ -46,8 +46,6 @@ __all__ = [
     "adjacency_blocks",
     "block_samples",
     "reverse_graph",
-    "enumerate_paths",
-    "path_transfer",
     "walk_sum",
     "graph_to_json",
     "graph_from_json",
@@ -68,11 +66,7 @@ class MissingPositions(ValueError):
 
 
 class ExplosionGuard(RuntimeError):
-    """Path enumeration exceeded its configured budget."""
-
-
-class InvalidWalk(ValueError):
-    """A vertex sequence is not a valid propagation path."""
+    """A walk sum exceeded its configured budget of walks."""
 
 
 _count = partial(_named, _integer)  # an int; bools are not integers
@@ -191,8 +185,10 @@ class FrequencyLawGain:
         if self.law in (EdgeClass.TX_SCATTER, EdgeClass.SCATTER_RX):
             if self.mean_delay_s is None or self.inv_sq_delay_sum is None:
                 raise ValueError(f"{self.law.value} law needs class delay statistics")
-            if self.mean_delay_s <= 0.0 or self.inv_sq_delay_sum <= 0.0:
-                raise ValueError("class delay statistics must be positive")
+            for name in ("mean_delay_s", "inv_sq_delay_sum"):
+                value = _real(getattr(self, name), name)  # finite
+                if value <= 0.0:
+                    raise ValueError(f"{name} must be positive, got {value}")
         elif self.law is EdgeClass.INTER_SCATTER:
             if self.base_gain is None or self.out_degree is None:
                 raise ValueError("inter_scatter law needs base_gain and out_degree")
@@ -373,17 +369,6 @@ class PropagationGraph:
                 if len(p) != 3:
                     raise ValueError(f"position of {v} must be a 3-vector")
             object.__setattr__(self, "positions", coords)
-        # Outbound adjacency, receivers before scatterers, each ascending.
-        out_rx: dict[VertexId, list[Edge]] = {}
-        out_sc: dict[VertexId, list[Edge]] = {}
-        for edge in self.edges:
-            bucket = out_rx if edge.dst.kind is VertexKind.RX else out_sc
-            bucket.setdefault(edge.src, []).append(edge)
-        for bucket in (out_rx, out_sc):
-            for lst in bucket.values():
-                lst.sort(key=lambda e: e.dst.index)
-        object.__setattr__(self, "_out_rx", out_rx)
-        object.__setattr__(self, "_out_sc", out_sc)
 
     # Built on first use and kept in the instance dict; the graph is
     # immutable, so they never go stale.
@@ -542,10 +527,9 @@ class _EdgeTable:
             "loop": (n_sc, n_sc),
             "collect": (graph.n_rx, n_sc),
         }
-        rows: dict[str, list[_EdgeRow]] = {name: [] for name in shapes}
-        for e in graph.edges:
-            rows[_BLOCK_OF_CLASS[e.edge_class]].append(_EdgeRow.of(e))
-        return cls(shapes=shapes, rows={name: tuple(r) for name, r in rows.items()})
+        rows = {name: tuple(map(_EdgeRow.of, graph.edges_in_class(edge_class)))
+                for edge_class, name in _BLOCK_OF_CLASS.items()}
+        return cls(shapes=shapes, rows=rows)
 
     @cached_property
     def loop_bound(self) -> float | None:
@@ -660,70 +644,7 @@ def reverse_graph(graph: PropagationGraph) -> PropagationGraph:
     )
 
 
-# -- Path enumeration (reference oracle) ---------------------------------------
-
-
-def enumerate_paths(
-    graph: PropagationGraph,
-    max_bounces: int,
-    *,
-    max_paths: int = 10_000_000,
-) -> Iterator[tuple[VertexId, ...]]:
-    """Yield every propagation path with at most ``max_bounces`` scatterer visits.
-
-    A path starts at a transmitter, ends at a receiver, and may revisit
-    scatterers.  Enumeration is depth-first from each transmitter in index
-    order; at every vertex, receiver terminations are emitted (ascending
-    receiver index) before descending into scatterers (ascending scatterer
-    index).  Raises :class:`ExplosionGuard` once more than ``max_paths``
-    paths have been produced.  ``max_bounces`` is checked on call, before the
-    first path is asked for.
-    """
-    max_bounces = _count(max_bounces, "max_bounces")
-    if max_bounces < 0:
-        raise ValueError(f"max_bounces must be >= 0, got {max_bounces}")
-    out_rx = graph._out_rx
-    out_sc = graph._out_sc
-    produced = 0
-
-    def walk_from(prefix: list[VertexId], bounces_left: int):
-        nonlocal produced
-        head = prefix[-1]
-        for edge in out_rx.get(head, ()):
-            produced += 1
-            if produced > max_paths:
-                raise ExplosionGuard(f"more than {max_paths} paths enumerated")
-            yield tuple(prefix) + (edge.dst,)
-        if bounces_left == 0:
-            return
-        for edge in out_sc.get(head, ()):
-            prefix.append(edge.dst)
-            yield from walk_from(prefix, bounces_left - 1)
-            prefix.pop()
-
-    # A generator expression, so that the checks above run on call.
-    return (path for t in range(graph.n_tx) for path in walk_from([tx(t)], max_bounces))
-
-
-def path_transfer(graph: PropagationGraph, walk, freq_hz: float) -> complex:
-    """Product of edge transfer functions along a propagation path."""
-    walk = tuple(walk)
-    if len(walk) < 2:
-        raise InvalidWalk(f"walk needs at least two vertices, got {len(walk)}")
-    if walk[0].kind is not VertexKind.TX:
-        raise InvalidWalk(f"walk must start at a transmitter, starts at {walk[0]}")
-    if walk[-1].kind is not VertexKind.RX:
-        raise InvalidWalk(f"walk must end at a receiver, ends at {walk[-1]}")
-    for v in walk[1:-1]:
-        if v.kind is not VertexKind.SCATTERER:
-            raise InvalidWalk(f"inner vertex {v} is not a scatterer")
-    value = 1.0 + 0.0j
-    for a, b in zip(walk, walk[1:]):
-        edge = graph.edge_between(a, b)
-        if edge is None:
-            raise InvalidWalk(f"no edge {a}->{b}")
-        value *= edge.transfer_value(float(freq_hz))
-    return value
+# -- Walk sum (reference oracle) ----------------------------------------------
 
 
 def walk_sum(
@@ -734,36 +655,40 @@ def walk_sum(
     *,
     max_paths: int = 10_000_000,
 ) -> np.ndarray:
-    """Sum path transfers over all paths with a bounce count in the given range.
+    """Sum the transfers of all walks with a bounce count in the given range.
 
     Returns an (n_rx, n_tx) matrix; this is the brute-force counterpart of
     the closed-form partial transfer matrix and is meant for small graphs.
+    A walk starts at a transmitter, visits scatterers (revisits allowed), and
+    ends at a receiver; its bounce count is its number of scatterer visits
+    and its transfer is the product of its edges' transfer values, taken
+    from the source end.  The edges are sampled once, as
+    :func:`block_samples` samples them (frequency checks included).
 
-    The result equals summing :func:`path_transfer` over
-    :func:`enumerate_paths` bit for bit, without building the walks: the
-    edges' transfer values are sampled once, as :func:`block_samples` samples
-    them (frequency checks included), outbound edges are kept as
-    integer-indexed (next vertex, value) lists in the enumeration's order,
-    and the depth-first search carries each walk's left-to-right product.
-    Every path counts towards ``max_paths``, including those below
-    ``min_bounces``, so :class:`ExplosionGuard` fires where the enumeration
-    would.
+    The search is depth-first from each transmitter in index order.  At each
+    vertex it first closes the walk on every receiver edge, then extends it
+    along every scatterer edge (at most ``max_bounces`` scatterer visits),
+    each set in ascending destination index; a receiver's entry adds the
+    walks ending there in that order.  Every walk closed counts towards
+    ``max_paths``, those below ``min_bounces`` too, and the walk that exceeds
+    it raises :class:`ExplosionGuard`.
     """
     min_bounces = _count(min_bounces, "min_bounces")
     max_bounces = _count(max_bounces, "max_bounces")
     if not 0 <= min_bounces <= max_bounces:
         raise ValueError(f"need 0 <= min_bounces <= max_bounces, got ({min_bounces}, {max_bounces})")
-    _, stacks = graph._edge_table.stacks([float(freq_hz)])
-    values = {name: stack[..., 0].tolist() for name, stack in stacks.items()}
+    table = graph._edge_table
+    _, stacks = table.stacks([float(freq_hz)])
     n_sc = graph.n_scatterers
-    # Scatterers are sources 0..n_sc-1, transmitters follow them.
+    # Sources are scatterers 0..n_sc-1, then transmitters; each holds its
+    # outbound (destination, value) pairs in ascending destination.
     out_rx: list[list[tuple[int, complex]]] = [[] for _ in range(n_sc + graph.n_tx)]
     out_sc: list[list[tuple[int, complex]]] = [[] for _ in range(n_sc + graph.n_tx)]
-    for buckets, out in ((graph._out_rx, out_rx), (graph._out_sc, out_sc)):
-        for src, edges in buckets.items():
-            source = src.index if src.kind is VertexKind.SCATTERER else n_sc + src.index
-            out[source] = [(e.dst.index, values[_BLOCK_OF_CLASS[e.edge_class]][e.dst.index][src.index])
-                           for e in edges]
+    for name, out, first in (("direct", out_rx, n_sc), ("collect", out_rx, 0),
+                             ("feed", out_sc, n_sc), ("loop", out_sc, 0)):
+        values = stacks[name][..., 0].tolist()
+        for row in sorted(table.rows[name], key=lambda row: row.dst):
+            out[first + row.src].append((row.dst, values[row.dst][row.src]))
     produced = 0
 
     def descend(source: int, acc: complex, bounces: int, column: list[complex]) -> None:
@@ -771,7 +696,7 @@ def walk_sum(
         for r, value in out_rx[source]:
             produced += 1
             if produced > max_paths:
-                raise ExplosionGuard(f"more than {max_paths} paths enumerated")
+                raise ExplosionGuard(f"more than {max_paths} walks")
             if bounces >= min_bounces:
                 column[r] += acc * value
         if bounces < max_bounces:

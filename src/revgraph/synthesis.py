@@ -354,11 +354,8 @@ class DelayPowerSpectrum:
 
 
 def _add_note(exc: BaseException, note: str) -> None:
-    add_note = getattr(exc, "add_note", None)
-    if add_note is not None:
-        add_note(note)
-    else:  # pre-3.11 interpreters: carry the context in the args tuple
-        exc.args = exc.args + (note,)
+    # What BaseException.add_note does on 3.11 and later, on every interpreter.
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
 
 
 def _annotate(exc: BaseException, run_index: int, seed: int) -> None:

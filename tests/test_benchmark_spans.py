@@ -40,6 +40,9 @@ def _traced(monkeypatch, call):
     monkeypatch.syspath_prepend(str(ROOT))
     install_spans = importlib.import_module("perfbench.run").install_spans
     tracer = importlib.import_module("perfbench.tracing").Tracer()
+    # The CSV writers import this module on first use; import it now, so that
+    # a first write inside ``call`` adds no callables to the comparison.
+    importlib.import_module("revgraph._csvtext")
     before = _revgraph_callables()
     try:
         install_spans(tracer)

@@ -12,13 +12,15 @@ Covers:
   array samples (B = 1) equal that formula, written out here, bit for bit;
   every edge sample checks its frequencies as block_samples does
 - reversal: involution, block transposition, role swap of a feed edge
-- walk enumeration: documented example paths, counts on small topologies,
-  the explosion guard, and path-product consistency with the blocks
-- walk sums: bitwise equal to path_transfer summed over enumerate_paths,
-  with every enumerated path counted by the explosion guard
+- walk sums: a documented example walk, exact walk counts on small
+  topologies, one-walk sums equal to their edge products, agreement with
+  the block products (bit for bit on copies whose every sum is exact), and
+  the explosion guard counting every walk, those below the bounce floor too
+- gain laws reject non-finite or nonpositive class delay statistics
 - JSON round trip is value-identical
 """
 
+import hashlib
 import json
 import math
 
@@ -31,7 +33,6 @@ from revgraph.graph import (
     EdgeClass,
     ExplosionGuard,
     FrequencyLawGain,
-    InvalidWalk,
     MissingPositions,
     PropagationGraph,
     StructuralViolation,
@@ -39,10 +40,8 @@ from revgraph.graph import (
     VertexKind,
     adjacency_blocks,
     block_samples,
-    enumerate_paths,
     graph_from_json,
     graph_to_json,
-    path_transfer,
     reverse_graph,
     rx,
     scatterer,
@@ -349,6 +348,16 @@ def test_frequency_laws_leave_no_flat_bound():
     assert mixed._edge_table.loop_bound is None
 
 
+@pytest.mark.parametrize("name", ["mean_delay_s", "inv_sq_delay_sum"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_class_delay_statistics_must_be_finite_and_positive(name, bad):
+    # A non-finite statistic would sample as NaN or 0, and graph_to_json would
+    # write a document graph_from_json refuses.
+    stats = {"mean_delay_s": 1e-8, "inv_sq_delay_sum": 1e16, name: bad}
+    with pytest.raises(ValueError, match=name):
+        FrequencyLawGain(EdgeClass.TX_SCATTER, **stats)
+
+
 _BLOCK_OF = {EdgeClass.DIRECT: "direct", EdgeClass.TX_SCATTER: "feed",
              EdgeClass.INTER_SCATTER: "loop", EdgeClass.SCATTER_RX: "collect"}
 
@@ -549,58 +558,68 @@ def test_reversal_turns_feed_edge_into_collect_edge():
     assert flipped.edge_class is EdgeClass.SCATTER_RX
 
 
-# -- walk enumeration ---------------------------------------------------------------
+# -- walk sums -------------------------------------------------------------------------
+
+
+def _flat_copy(graph, gain=lambda i: 1.0):
+    """``graph`` with edge i given ConstantGain(gain(i)), zero phase and zero delay.
+
+    Every sample of such an edge is exactly gain(i) + 0j at any frequency.
+    """
+    edges = tuple(Edge(e.src, e.dst, ConstantGain(gain(i))) for i, e in enumerate(graph.edges))
+    return PropagationGraph(graph.n_tx, graph.n_rx, graph.n_scatterers, edges=edges)
+
+
+def _block_product_sum(blocks, lo, hi):
+    """The walk sum over lo..hi bounces as block products: direct + sum of collect loop^(k-1) feed."""
+    total = blocks.direct.copy() if lo == 0 else np.zeros_like(blocks.direct)
+    head = blocks.collect
+    for k in range(1, hi + 1):
+        if k >= lo:
+            total += head @ blocks.feed
+        head = head @ blocks.loop
+    return total
 
 
 def test_documented_three_bounce_path_is_enumerated():
     graph = _example_mimo_graph()
-    walks = set(enumerate_paths(graph, 3))
-    assert (tx(3), scatterer(0), scatterer(1), scatterer(0), rx(2)) in walks
+    walk = (tx(3), scatterer(0), scatterer(1), scatterer(0), rx(2))
+    assert all(graph.edge_between(a, b) is not None for a, b in zip(walk, walk[1:]))
+    # By hand: it is the only 3-bounce walk from Tx4 to Rx3.
+    counts = walk_sum(_flat_copy(graph), 2.5e9, 3, 3)
+    assert counts[2, 3] == 1
 
 
 def test_direct_only_graph_has_one_path():
     graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=0,
                              edges=(_edge(tx(0), rx(0)),))
-    assert list(enumerate_paths(graph, 5)) == [(tx(0), rx(0))]
+    f = 2.5e9
+    np.testing.assert_array_equal(walk_sum(graph, f, 0, 5), [[graph.edges[0].transfer_value(f)]])
 
 
 def test_two_scatterer_cycle_path_counts():
-    # Tx -> {S1, S2}, S1 <-> S2, {S1, S2} -> Rx: two k-bounce paths per k
-    edges = (
-        _edge(tx(0), scatterer(0)), _edge(tx(0), scatterer(1)),
-        _edge(scatterer(0), scatterer(1)), _edge(scatterer(1), scatterer(0)),
-        _edge(scatterer(0), rx(0)), _edge(scatterer(1), rx(0)),
-    )
+    # Tx -> {S1, S2}, S1 <-> S2, {S1, S2} -> Rx: two k-bounce walks per k
+    pairs = ((tx(0), scatterer(0)), (tx(0), scatterer(1)),
+             (scatterer(0), scatterer(1)), (scatterer(1), scatterer(0)),
+             (scatterer(0), rx(0)), (scatterer(1), rx(0)))
+    edges = tuple(Edge(a, b, ConstantGain(1.0)) for a, b in pairs)
     graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=2, edges=edges)
-    walks = list(enumerate_paths(graph, 3))
-    by_bounce = {}
-    for walk in walks:
-        by_bounce.setdefault(len(walk) - 2, []).append(walk)
-    assert {k: len(v) for k, v in by_bounce.items()} == {1: 2, 2: 2, 3: 2}
-    assert len(walks) == 6
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(walk_sum(graph, 2.5e9, k, k), [[2 + 0j]])
+    np.testing.assert_array_equal(walk_sum(graph, 2.5e9, 0, 3), [[6 + 0j]])
 
 
 def test_explosion_guard_fires_on_tiny_cap():
     graph = _example_mimo_graph()
     with pytest.raises(ExplosionGuard):
-        list(enumerate_paths(graph, 6, max_paths=5))
+        walk_sum(graph, 2.5e9, 0, 6, max_paths=5)
 
 
 @pytest.mark.parametrize("bounces", [1.5, True, -1])
 def test_enumeration_depth_must_be_an_integer(bounces):
     graph = generate_realization(ScenarioConfig(seed=1, n_scatterers=3), (2e9, 3e9)).graph
     with pytest.raises(ValueError, match="max_bounces"):
-        enumerate_paths(graph, bounces)  # checked on call, before any path is asked for
-
-
-def test_enumeration_order_is_deterministic():
-    graph = _example_mimo_graph()
-    first = list(enumerate_paths(graph, 4))
-    second = list(enumerate_paths(graph, 4))
-    assert first == second
-
-
-# -- path transfer -------------------------------------------------------------------
+        walk_sum(graph, 2.5e9, 0, bounces)
 
 
 def test_direct_path_transfer_is_unit_phasor():
@@ -612,7 +631,7 @@ def test_direct_path_transfer_is_unit_phasor():
         n_tx=1, n_rx=1, n_scatterers=0, edges=(edge,),
         positions={tx(0): (0.0, 0.0, 0.0), rx(0): (1.0, 0.0, 0.0)},
     )
-    value = path_transfer(graph, (tx(0), rx(0)), f)
+    value = walk_sum(graph, f, 0, 0)[0, 0]
     assert value == pytest.approx(np.exp(-2j * math.pi * f * tau), rel=1e-12)
 
 
@@ -621,58 +640,60 @@ def test_single_bounce_path_is_edge_product():
              _edge(scatterer(0), rx(0), gain=0.7, phase=1.1, delay=5e-9))
     graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=1, edges=edges)
     f = 3.3e9
+    # One walk, so the sum is its product, taken from the source end, exactly.
     expected = edges[0].transfer_value(f) * edges[1].transfer_value(f)
-    assert path_transfer(graph, (tx(0), scatterer(0), rx(0)), f) == pytest.approx(expected)
-
-
-def test_path_transfer_rejects_missing_edge():
-    graph = PropagationGraph(n_tx=1, n_rx=1, n_scatterers=1,
-                             edges=(_edge(tx(0), rx(0)),))
-    with pytest.raises(InvalidWalk):
-        path_transfer(graph, (tx(0), scatterer(0), rx(0)), 1e9)
+    assert walk_sum(graph, f, 1, 1)[0, 0] == expected
 
 
 def test_walk_sums_match_block_products():
-    """Per-bounce path sums equal collect @ loop^(k-1) @ feed for small graphs."""
+    """Per-bounce walk sums equal collect @ loop^(k-1) @ feed for small graphs."""
     rng = np.random.default_rng(42)
     f = 2.5e9
     for _ in range(20):
         graph = _random_graph(rng, n_sc=int(rng.integers(1, 5)))
         blocks = adjacency_blocks(graph, f)
-        expected = blocks.direct.copy()
-        np.testing.assert_allclose(walk_sum(graph, f, 0, 0), expected,
-                                   rtol=1e-10, atol=1e-14)
-        power = np.eye(graph.n_scatterers, dtype=complex)
-        for k in range(1, 5):
-            term = blocks.collect @ power @ blocks.feed
-            np.testing.assert_allclose(walk_sum(graph, f, k, k), term,
+        for k in range(5):
+            np.testing.assert_allclose(walk_sum(graph, f, k, k), _block_product_sum(blocks, k, k),
                                        rtol=1e-10, atol=1e-14)
-            power = power @ blocks.loop
-
-
-def _enumerated_sum(graph, f, lo, hi):
-    """walk_sum's definition: path_transfer summed over enumerate_paths."""
-    total = np.zeros((graph.n_rx, graph.n_tx), dtype=complex)
-    for walk in enumerate_paths(graph, hi):
-        if len(walk) - 2 >= lo:
-            total[walk[-1].index, walk[0].index] += path_transfer(graph, walk, f)
-    return total
 
 
 @pytest.mark.parametrize("bounds", [(0, 4), (2, 3), (0, 0), (1, 5)])
 def test_walk_sum_equals_the_enumerated_path_sum_bitwise(bounds):
+    # Gains of 1/8..7/8 with zero phase and delay make every walk product and
+    # every partial sum exact in floating point, so walk_sum must equal the
+    # block products bit for bit whatever the order of either sum; that pins
+    # which walks it counts and which edge value each hop takes.
     generated = generate_realization(ScenarioConfig(seed=3, n_scatterers=5), (2e9, 3e9)).graph
     for graph in (_example_mimo_graph(), generated):
+        dyadic = _flat_copy(graph, lambda i: (1 + i % 7) / 8)
+        np.testing.assert_array_equal(walk_sum(dyadic, 2.5e9, *bounds),
+                                      _block_product_sum(adjacency_blocks(dyadic, 2.5e9), *bounds))
         for f in (2e9, 2.7e9):
-            np.testing.assert_array_equal(walk_sum(graph, f, *bounds),
-                                          _enumerated_sum(graph, f, *bounds))
+            np.testing.assert_allclose(walk_sum(graph, f, *bounds),
+                                       _block_product_sum(adjacency_blocks(graph, f), *bounds),
+                                       rtol=1e-12, atol=1e-15)
+
+
+def test_walk_sum_adds_in_the_documented_order():
+    # Real gains that are not dyadic make the rounded sums depend on the order
+    # of the walks, while every sample (g + 0j), product and sum is still
+    # rounded the same way on any platform; the digests pin the order that
+    # walk_sum documents.
+    generated = generate_realization(ScenarioConfig(seed=3, n_scatterers=5), (2e9, 3e9)).graph
+    digests = []
+    for graph in (_example_mimo_graph(), generated):
+        flat = _flat_copy(graph, lambda i: 0.1 + 0.7 * ((0.618 * i) % 1.0))
+        sums = [walk_sum(flat, 2.5e9, *bounds) for bounds in ((0, 4), (2, 3), (0, 0), (1, 5))]
+        digests.append(hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest())
+    assert digests == ["e8eb0bf12d876c6cd5ffcc9aa68314cdf433ef60fca988dbe3577d9d247bddc8",
+                       "9ff6ad799f6412256d47845db8855c4f36b744a148ae43db7650028bbb041da6"]
 
 
 def test_walk_sum_guard_counts_paths_below_min_bounces():
     graph = _example_mimo_graph()
-    with pytest.raises(ExplosionGuard):
-        walk_sum(graph, 2.5e9, 0, 6, max_paths=5)
-    n_paths = sum(1 for _ in enumerate_paths(graph, 4))
+    counts = adjacency_blocks(_flat_copy(graph), 2.5e9)  # 0/1 blocks
+    n_paths = int(_block_product_sum(counts, 0, 4).real.sum())
+    assert n_paths > _block_product_sum(counts, 4, 4).real.sum()
     walk_sum(graph, 2.5e9, 4, 4, max_paths=n_paths)
     with pytest.raises(ExplosionGuard):
         walk_sum(graph, 2.5e9, 4, 4, max_paths=n_paths - 1)

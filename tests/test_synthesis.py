@@ -13,7 +13,7 @@ Also covered:
 - sampled transfers against the per-frequency engine, bounce-slice
   additivity (also for two receivers and three transmitters, against
   k_bounce_matrix), every dissection range against the per-frequency engine
-  and the walk enumeration, a traced peak of about one loop block per
+  and the walk sum, a traced peak of about one loop block per
   sampled solve, and per-sample contraction rejection with the
   offending sample index attached, the same sample rejected by the
   single-frequency path, logged condition warnings, and eigensolver
@@ -730,9 +730,9 @@ def test_ensemble_memory_does_not_grow_with_runs():
 @pytest.mark.parametrize("workers", [None, 2])
 def test_ensemble_error_names_the_failing_run(monkeypatch, workers):
     # a run that blows up should surface with its index and seed attached,
-    # via exception notes where supported or in the wrapped message.  The
-    # patch reaches pool workers because they are forked from this process
-    # (the default start method on Linux before Python 3.14).
+    # in the exception's notes.  The patch reaches pool workers because they
+    # are forked from this process (the default start method on Linux before
+    # Python 3.14).
     import revgraph.synthesis as synthesis
 
     def explode_on_second(config, band):
@@ -751,20 +751,22 @@ def test_ensemble_error_names_the_failing_run(monkeypatch, workers):
     for call in calls:
         with pytest.raises(RuntimeError, match="synthetic failure") as info:
             call()
-        notes = getattr(info.value, "__notes__", [])
-        combined = " ".join([str(info.value)] + list(notes))
-        assert "while simulating run 1 (seed 71)" in combined
+        assert "while simulating run 1 (seed 71)" in getattr(info.value, "__notes__", [])
 
 
-def test_run_note_goes_into_args_without_add_note():
-    # Interpreters before 3.11 have no add_note; the note must then ride in args.
+def test_run_note_goes_into_notes_without_add_note():
+    # Interpreters before 3.11 have no add_note; the note must still land in
+    # __notes__, after any already there, and leave args alone (an OSError's
+    # str ignores extra args).
     class NoNotes(RuntimeError):
         add_note = None
 
     exc = NoNotes("synthetic failure")
     _annotate(exc, 1, 71)
-    assert exc.args == ("synthetic failure", "while simulating run 1 (seed 71)")
-    assert not hasattr(exc, "__notes__")
+    assert exc.args == ("synthetic failure",)
+    assert exc.__notes__ == ["while simulating run 1 (seed 71)"]
+    _annotate(exc, 2, 72)
+    assert exc.__notes__ == ["while simulating run 1 (seed 71)", "while simulating run 2 (seed 72)"]
 
 
 def test_spatial_average_over_one_position_matches_single_run():
